@@ -1,26 +1,26 @@
-// bench_catalog_io: load-time comparison of the three on-disk catalog
+// bench_catalog_io: load-time comparison of the two on-disk catalog
 // formats (core/serialize.h) at serving scale — a β≈28k estimator over
 // |L_3| = 30783 paths (31 labels, lengths 1..3), the catalog size the
 // paper's full-graph analyses produce. The text format pays hexfloat
-// parsing per bucket row; the binary v1 format pays CRC32C sweeps and then
-// reinterprets the column-major u64 rows directly; the page-aligned binary
-// v2 is additionally mmap-servable: MappedCatalogEntry construction is
-// header validation + pointer fixup (microseconds, no row copies), with
-// the CRC sweep optional per verify tier and the row bytes faulted lazily.
-// The bench asserts the zero-copy construction stays >= 50x faster than
-// the v1 copying load, and that every path serves bit-identically.
+// parsing per bucket row; the page-aligned binary v2 loads either by
+// copying (full verification: CRC sweeps plus rebuild comparisons) or
+// mmap-served: MappedCatalogEntry construction is header validation +
+// pointer fixup (microseconds, no row copies), with the CRC sweep optional
+// per verify tier and the row bytes faulted lazily. The bench asserts the
+// zero-copy construction stays >= 50x faster than the v2 copying load,
+// and that every path serves bit-identically.
 //
 // The estimator is synthetic (deterministic fabricated buckets assembled
 // through the same FromBuckets/FromParts path deserialization uses), so
 // the bench needs no graph build and isolates pure load cost. Before
-// timing, both files are loaded once and their estimates compared
+// timing, every loader runs once and its estimates are compared
 // bit-exactly over the full domain — a speedup over a WRONG loader is not
 // a result.
 //
 // PATHEST_SCALE scales β (default 1.0 → β=27993), PATHEST_REPS the
 // best-of repetition count (default 5). --json[=path] writes one JSON
 // object (default BENCH_catalog_io.json) with the sizes, best times, and
-// the binary-over-text speedup.
+// the mmap-over-copy speedup.
 
 #include <cstdio>
 #include <string>
@@ -132,30 +132,23 @@ int Run(bool json_mode, const std::string& json_path) {
 
   const std::string dir = "/tmp";
   const std::string text_path = dir + "/pathest_bench_catalog.text.stats";
-  const std::string bin_path = dir + "/pathest_bench_catalog.bin.stats";
   std::ostringstream text;
   bench::DieIf(WritePathHistogram(est, labels, cards, &text), "write text");
   bench::DieIf(AtomicWriteFile(text_path, text.str()), "save text");
-  std::string binary;
-  bench::DieIf(WritePathHistogramBinary(est, labels, cards, &binary),
-               "write binary");
-  bench::DieIf(AtomicWriteFile(bin_path, binary), "save binary");
   const std::string v2_path = dir + "/pathest_bench_catalog.v2.stats";
   std::string v2;
   bench::DieIf(WritePathHistogramBinaryV2(est, labels, cards, &v2),
                "write binary v2");
   bench::DieIf(AtomicWriteFile(v2_path, v2), "save binary v2");
-  std::printf("text=%zu bytes, binary=%zu bytes, binary-v2=%zu bytes\n",
-              text.str().size(), binary.size(), v2.size());
+  std::printf("text=%zu bytes, binary-v2=%zu bytes\n", text.str().size(),
+              v2.size());
 
-  // Correctness gate before any timing: both loads must reproduce the
+  // Correctness gate before any timing: every load must reproduce the
   // original estimator bit-exactly over the whole domain.
   auto from_text = LoadPathHistogram(text_path);
-  auto from_bin = LoadPathHistogram(bin_path);
   auto from_v2 = LoadPathHistogram(v2_path);
   auto from_mmap = MappedCatalogEntry::Open(v2_path, CatalogVerify::kFull);
   bench::DieIf(from_text.status(), "load text");
-  bench::DieIf(from_bin.status(), "load binary");
   bench::DieIf(from_v2.status(), "load binary v2");
   bench::DieIf(from_mmap.status(), "mmap binary v2");
   PathSpace space(num_labels, k);
@@ -165,7 +158,6 @@ int Run(bool json_mode, const std::string& json_path) {
   space.ForEach([&](const LabelPath& p) {
     const double want = est.Estimate(p);
     if (from_text->estimator.Estimate(p) != want ||
-        from_bin->estimator.Estimate(p) != want ||
         from_v2->estimator.Estimate(p) != want ||
         (*from_mmap)->estimator().Estimate(p, scratch) != want) {
       ++mismatches;
@@ -180,11 +172,7 @@ int Run(bool json_mode, const std::string& json_path) {
   from_mmap->reset();  // drop the pin before timing
 
   const double text_ms = BestLoadMillis(text_path, reps);
-  const double binary_ms = BestLoadMillis(bin_path, reps);
-  const double speedup = text_ms / binary_ms;
-  std::printf("load (best of %zu): text=%.3fms binary=%.3fms  "
-              "binary speedup=%.2fx\n",
-              reps, text_ms, binary_ms, speedup);
+  std::printf("load (best of %zu): text=%.3fms\n", reps, text_ms);
 
   // v2 rows: the copying load (kFull rebuild comparisons — the strictest
   // tier), the zero-copy constructions at the trusted and checksummed
@@ -223,10 +211,10 @@ int Run(bool json_mode, const std::string& json_path) {
       if (us < v2_repin_us) v2_repin_us = us;
     }
   }
-  const double mmap_speedup = binary_ms * 1000.0 / v2_mmap_construct_us;
+  const double mmap_speedup = v2_copy_ms * 1000.0 / v2_mmap_construct_us;
   std::printf("v2 (best of %zu): copy=%.3fms mmap-construct=%.1fus "
               "mmap-verified=%.1fus first-estimate=%.2fus repin=%.2fus  "
-              "mmap speedup over v1 copy=%.0fx\n",
+              "mmap speedup over v2 copy=%.0fx\n",
               reps, v2_copy_ms, v2_mmap_construct_us, v2_mmap_verified_us,
               v2_first_estimate_us, v2_repin_us, mmap_speedup);
   // The acceptance floor of the zero-copy path is part of the bench: a
@@ -235,13 +223,12 @@ int Run(bool json_mode, const std::string& json_path) {
   if (mmap_speedup < 50.0) {
     std::fprintf(stderr,
                  "MMAP SPEEDUP REGRESSION: %.1fx < 50x floor "
-                 "(construct=%.1fus vs v1 copy=%.3fms)\n",
-                 mmap_speedup, v2_mmap_construct_us, binary_ms);
+                 "(construct=%.1fus vs v2 copy=%.3fms)\n",
+                 mmap_speedup, v2_mmap_construct_us, v2_copy_ms);
     return 1;
   }
 
   std::remove(text_path.c_str());
-  std::remove(bin_path.c_str());
   std::remove(v2_path.c_str());
 
   if (!json_mode) return 0;
@@ -259,10 +246,7 @@ int Run(bool json_mode, const std::string& json_path) {
                "  \"beta\": %zu,\n"
                "  \"reps\": %zu,\n"
                "  \"text_bytes\": %zu,\n"
-               "  \"binary_bytes\": %zu,\n"
                "  \"text_ms\": %.4f,\n"
-               "  \"binary_ms\": %.4f,\n"
-               "  \"speedup\": %.3f,\n"
                "  \"v2_bytes\": %zu,\n"
                "  \"v2_copy_ms\": %.4f,\n"
                "  \"v2_mmap_construct_us\": %.2f,\n"
@@ -272,8 +256,7 @@ int Run(bool json_mode, const std::string& json_path) {
                "  \"mmap_speedup\": %.1f\n"
                "}\n",
                k, num_labels, static_cast<unsigned long long>(domain), beta,
-               reps, text.str().size(), binary.size(), text_ms, binary_ms,
-               speedup, v2.size(), v2_copy_ms, v2_mmap_construct_us,
+               reps, text.str().size(), text_ms, v2.size(), v2_copy_ms, v2_mmap_construct_us,
                v2_mmap_verified_us, v2_first_estimate_us, v2_repin_us,
                mmap_speedup);
   std::fclose(out);

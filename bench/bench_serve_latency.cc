@@ -7,7 +7,8 @@
 //
 // Setup: a moreno-like graph at PATHEST_SCALE (default: the paper's full
 // size), one k=3
-// sum-based estimator saved as a binary catalog entry, an in-process
+// sum-based estimator saved as a binary-v2 catalog entry (served
+// zero-copy; a reload re-pins the unchanged mapping), an in-process
 // ServeServer on a Unix socket. Each row runs N client threads, every
 // client its own connection, each issuing PATHEST_SERVE_REQS (default
 // 400) `estimate` requests of 6 paths and recording per-request
@@ -144,7 +145,7 @@ int Run(bool json_mode, const std::string& json_path) {
   std::filesystem::create_directories(root / "cat");
   bench::DieIf(SavePathHistogram(*estimator, graph,
                                  (root / "cat" / "moreno.stats").string(),
-                                 CatalogFormat::kBinary),
+                                 CatalogFormat::kBinaryV2),
                "catalog save");
 
   serve::ServeOptions options;

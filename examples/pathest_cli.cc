@@ -12,7 +12,7 @@
 //   pathest_cli estimate <stats-file> [<path> ...]
 //   pathest_cli accuracy <graph-file> <k> <ordering> <beta>
 //   pathest_cli catalog verify [--json] <dir>
-//   pathest_cli catalog convert <dir> --format text|binary|binary-v2
+//   pathest_cli catalog convert <dir> --format text|binary-v2
 //   pathest_cli serve <socket> <catalog-dir> [key=value ...]
 //   pathest_cli call [--retries N] <socket> <request words ...>
 //   pathest_cli orderings
@@ -41,9 +41,11 @@
 // commands that build ground truth echo the RESOLVED configuration —
 // including the post-clamp worker count — in their build report line.
 //
-// --format text|binary picks the on-disk catalog format analyze writes
-// (default text; binary is the checksummed v1 layout of core/serialize.h —
-// estimate and catalog verify sniff the format, so no flag on read).
+// --format text|binary-v2 picks the on-disk catalog format analyze writes
+// (default text; binary-v2 is the checksummed, page-aligned, mmap-servable
+// layout of core/serialize.h — estimate and catalog verify sniff the
+// format, so no flag on read). The retired binary v1 format is neither
+// written nor read: a v1 entry fails as a typed error naming the upgrade.
 // `catalog verify <dir>` checksum-walks every *.stats entry and exits
 // nonzero if ANY entry fails, printing one line per entry; it is the
 // operational integrity probe for a directory of persisted statistics.
@@ -199,7 +201,7 @@ int Usage() {
       "object;\n"
       "       each healthy entry reports its format and, for binary-v2, "
       "alignment)\n"
-      "  pathest_cli catalog convert <dir> --format text|binary|binary-v2\n"
+      "  pathest_cli catalog convert <dir> --format text|binary-v2\n"
       "      (rewrite every entry to the target format in place via "
       "atomic rename;\n"
       "       full verify on read; corrupt entries are reported and left "
@@ -232,8 +234,8 @@ int Usage() {
       "--strategy S: evaluator decomposition, fused|per-label "
       "(fused = all-labels kernel + prefix tasks, default)\n"
       "--format F: catalog format analyze writes / convert targets, "
-      "text|binary|binary-v2 (text default; binary = checksummed catalog "
-      "v1; binary-v2 = page-aligned mmap-servable; readers sniff)\n");
+      "text|binary-v2 (text default; binary-v2 = checksummed, "
+      "page-aligned, mmap-servable; readers sniff; binary v1 is retired)\n");
   return 2;
 }
 
@@ -353,7 +355,7 @@ int CmdCatalogConvert(const std::string& dir) {
   if (!g_format_seen) {
     return Fail(Status::InvalidArgument(
         "catalog convert requires an explicit --format "
-        "text|binary|binary-v2 target"));
+        "text|binary-v2 target"));
   }
   auto entries = ListCatalogEntryPaths(dir);
   if (!entries.ok()) return Fail(entries.status());

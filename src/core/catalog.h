@@ -43,7 +43,7 @@ CatalogLoadFailure MakeCatalogLoadFailure(std::string path, Status status);
 /// section offset at every tier; false for formats without the invariant).
 struct CatalogEntryInfo {
   std::string name;
-  std::string format;  // "text" | "binary" | "binary-v2"
+  std::string format;  // "text" | "binary-v2"
   bool aligned = false;
 };
 

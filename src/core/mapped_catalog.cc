@@ -31,18 +31,34 @@ bool SumRankingRuleForName(const std::string& name, RankingRule* rule) {
 
 }  // namespace
 
+// Both factories construct in place behind the shared_ptr: the estimator's
+// pointers and spans reference members of THIS allocation, so nothing may
+// move after they are wired up.
 Result<std::shared_ptr<const MappedCatalogEntry>> MappedCatalogEntry::Open(
     const std::string& path, CatalogVerify verify) {
   auto file = MappedFile::Open(path);
   if (!file.ok()) return file.status();
-
-  // Construct in place behind the shared_ptr: the estimator's pointers and
-  // spans reference members of THIS allocation, so nothing may move after
-  // they are wired up.
   std::shared_ptr<MappedCatalogEntry> entry(new MappedCatalogEntry());
   entry->file_ = std::move(*file);
+  const std::string_view bytes = entry->file_.view();
+  auto built = Build(std::move(entry), bytes, verify);
+  // Estimates probe the rows in index order, not file order.
+  if (built.ok()) (*built)->file_.Advise(MappedFile::Advice::kRandom);
+  return built;
+}
 
-  auto parsed = internal::ParseCatalogV2(entry->file_.view(), verify);
+Result<std::shared_ptr<const MappedCatalogEntry>>
+MappedCatalogEntry::FromBuffer(std::string bytes, CatalogVerify verify) {
+  std::shared_ptr<MappedCatalogEntry> entry(new MappedCatalogEntry());
+  entry->buffer_ = std::move(bytes);
+  const std::string_view view = entry->buffer_;
+  return Build(std::move(entry), view, verify);
+}
+
+Result<std::shared_ptr<const MappedCatalogEntry>> MappedCatalogEntry::Build(
+    std::shared_ptr<MappedCatalogEntry> entry, std::string_view bytes,
+    CatalogVerify verify) {
+  auto parsed = internal::ParseCatalogV2(bytes, verify);
   if (!parsed.ok()) return parsed.status();
   internal::CatalogV2View& view = *parsed;
 
@@ -90,9 +106,10 @@ Result<std::shared_ptr<const MappedCatalogEntry>> MappedCatalogEntry::Open(
                             FlatHistogram::FromBorrowedRows(rows));
 
   // Owned-heap accounting: parsed metadata plus the ordering's small owned
-  // tables (ranking bijections, factorials, cell directory). The bulk rows
-  // are all spans into the mapping and deliberately absent here.
-  size_t resident = sizeof(MappedCatalogEntry);
+  // tables (ranking bijections, factorials, cell directory), plus the
+  // image itself when it is a heap buffer. Mapped bulk rows are spans into
+  // the mapping and deliberately absent here.
+  size_t resident = sizeof(MappedCatalogEntry) + entry->buffer_.size();
   for (size_t i = 0; i < entry->labels_.size(); ++i) {
     resident += entry->labels_.names()[i].size();
   }
@@ -101,9 +118,6 @@ Result<std::shared_ptr<const MappedCatalogEntry>> MappedCatalogEntry::Open(
   resident += static_cast<size_t>(view.k) * 2 * sizeof(uint64_t);
   resident += entry->estimator_->ResidentBytes();
   entry->resident_bytes_ = resident;
-
-  // Estimates probe the rows in index order, not file order.
-  entry->file_.Advise(MappedFile::Advice::kRandom);
   return std::shared_ptr<const MappedCatalogEntry>(std::move(entry));
 }
 

@@ -1,11 +1,15 @@
-// pathest: zero-copy estimator construction over a memory-mapped binary
-// catalog v2 (core/serialize.h).
+// pathest: zero-copy estimator construction over a binary catalog v2 byte
+// image (core/serialize.h) — the ONE serving representation of a catalog
+// entry.
 //
-// A MappedCatalogEntry owns exactly one mapping (util/mmap_file.h) and the
-// small OWNED metadata parsed out of it (label dictionary, cardinalities,
-// ordering identity); every bulk row the serving fast paths read — the
+// A MappedCatalogEntry owns exactly one byte image — a file mapping
+// (util/mmap_file.h, Open) or an owned heap buffer (FromBuffer: how text
+// entries are served, after encoding them to v2) — plus the small OWNED
+// metadata parsed out of it (label dictionary, cardinalities, ordering
+// identity). Both factories run the same ParseCatalogV2 and the same
+// pointer fixup; every bulk row the serving fast paths read — the
 // histogram serving rows, the stage-2 composition rows, the stage-3 index —
-// stays IN the mapping, borrowed through spans:
+// stays IN the image, borrowed through spans:
 //
 //   FlatHistogram::FromBorrowedRows   over the histogram section,
 //   CompositionTable::Borrowed        over the composition section,
@@ -17,7 +21,7 @@
 // rebuilding tables, with the row bytes themselves faulted lazily by the
 // kernel on first use.
 //
-// Lifetime: the entry is handed out as shared_ptr<const>; the mapping, the
+// Lifetime: the entry is handed out as shared_ptr<const>; the image, the
 // ordering, and the estimator all live and die together, so any estimate
 // served from a copy of the pointer is safe for as long as that copy is
 // held — CatalogCache (core/catalog_cache.h) relies on exactly this to
@@ -29,6 +33,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/estimator.h"
@@ -40,8 +45,8 @@
 
 namespace pathest {
 
-/// \brief One mapped catalog v2 file, served zero-copy. Immutable after
-/// Open; safe to share across any number of concurrent readers.
+/// \brief One catalog v2 image, served zero-copy. Immutable after
+/// construction; safe to share across any number of concurrent readers.
 class MappedCatalogEntry {
  public:
   /// \brief Maps `path` and builds the borrowed estimator over it at
@@ -53,24 +58,37 @@ class MappedCatalogEntry {
   static Result<std::shared_ptr<const MappedCatalogEntry>> Open(
       const std::string& path, CatalogVerify verify);
 
+  /// \brief Takes ownership of an in-memory v2 image (e.g. the output of
+  /// WritePathHistogramBinaryV2) and builds the same borrowed estimator
+  /// over it at tier `verify` (the image's data must be 8-byte aligned,
+  /// as every heap-allocated std::string's is). The entry is not mapped:
+  /// path() is empty, file_id() is default, mapped_bytes() is 0, and
+  /// resident_bytes() counts the buffer.
+  static Result<std::shared_ptr<const MappedCatalogEntry>> FromBuffer(
+      std::string bytes, CatalogVerify verify);
+
   const Estimator& estimator() const { return *estimator_; }
   const LabelDictionary& labels() const { return labels_; }
   const std::vector<uint64_t>& label_cardinalities() const { return cards_; }
   const std::string& ordering_name() const { return ordering_name_; }
   HistogramType histogram_type() const { return histogram_type_; }
 
+  /// \brief True when the image is a file mapping (Open), false for an
+  /// owned buffer (FromBuffer).
+  bool is_mapped() const { return buffer_.empty(); }
   const std::string& path() const { return file_.path(); }
   /// \brief Identity of the mapped generation (device, inode, size,
   /// mtime) — under the atomic-rename publish discipline a changed file is
   /// a changed id, which is how CatalogCache detects staleness.
   const FileId& file_id() const { return file_.id(); }
 
-  /// \brief Bytes of the file mapping (budget currency of CatalogCache).
+  /// \brief Bytes of the file mapping (budget currency of CatalogCache;
+  /// 0 for a buffer entry).
   size_t mapped_bytes() const { return file_.size(); }
   /// \brief Heap bytes OWNED by this entry: parsed metadata plus the
-  /// ordering's small owned tables — everything NOT served from the
-  /// mapping. The gap between this and mapped_bytes() is the zero-copy
-  /// win, reported per entry by serve `stats`.
+  /// ordering's small owned tables, plus the whole image for a buffer
+  /// entry. For a mapped entry the gap between this and mapped_bytes() is
+  /// the zero-copy win, reported per entry by serve `stats`.
   size_t resident_bytes() const { return resident_bytes_; }
 
   MappedCatalogEntry(const MappedCatalogEntry&) = delete;
@@ -79,13 +97,20 @@ class MappedCatalogEntry {
  private:
   MappedCatalogEntry() = default;
 
+  // The shared parse + pointer fixup over `bytes` (a member of `entry`).
+  static Result<std::shared_ptr<const MappedCatalogEntry>> Build(
+      std::shared_ptr<MappedCatalogEntry> entry, std::string_view bytes,
+      CatalogVerify verify);
+
+  // Exactly one of file_/buffer_ holds the image.
   MappedFile file_;
+  std::string buffer_;
   std::string ordering_name_;
   HistogramType histogram_type_ = HistogramType::kEquiWidth;
   LabelDictionary labels_;
   std::vector<uint64_t> cards_;
-  // The estimator holds a pointer into ordering_ and spans into file_ —
-  // neither moves once Open returns (the entry lives behind shared_ptr).
+  // The estimator holds a pointer into ordering_ and spans into the image —
+  // neither moves once built (the entry lives behind shared_ptr).
   std::unique_ptr<Ordering> ordering_;
   std::optional<Estimator> estimator_;
   size_t resident_bytes_ = 0;

@@ -44,8 +44,7 @@ bool IsSumFamilyOrdering(const std::string& name) {
 static_assert(std::endian::native == std::endian::little,
               "binary catalog v2 bulk rows assume a little-endian host");
 
-// Metadata payload builders shared verbatim by the v1 and v2 writers
-// (sections 1-3 are byte-identical across versions).
+// Metadata payload builders (sections 1-3).
 std::string BuildOrderingPayload(const std::string& ordering_name,
                                  const char* type_name, size_t k) {
   std::string payload;
@@ -80,6 +79,29 @@ void PadTo(std::string* out, uint64_t off) {
   out->resize(off, '\0');
 }
 
+// The retired binary catalog v1 magic: recognized only to refuse it.
+constexpr unsigned char kRetiredV1Magic[binfmt::kMagicBytes] = {
+    0x89, 'P', 'E', 'S', 'T', 'B', '1', 0x0A};
+
+// The one magic classifier behind every reader: v2, text (anything
+// without a binary magic), or the retired v1 — a typed IOError that must
+// never fall through to the text parser.
+Result<CatalogFormat> ClassifyCatalogBytes(std::string_view head) {
+  auto starts_with = [head](const unsigned char* magic) {
+    return head.size() >= binfmt::kMagicBytes &&
+           std::memcmp(head.data(), magic, binfmt::kMagicBytes) == 0;
+  };
+  if (starts_with(binfmt::kMagicV2)) return CatalogFormat::kBinaryV2;
+  if (starts_with(kRetiredV1Magic)) {
+    return Status::IOError(
+        "retired binary catalog v1: this build reads only text and "
+        "binary-v2; upgrade the entry with `pathest_cli catalog convert "
+        "<dir> --format binary-v2` from a release that still reads v1, or "
+        "rebuild it with `analyze --format binary-v2`");
+  }
+  return CatalogFormat::kText;
+}
+
 // Raw little-endian row append (the static_assert above licenses memcpy).
 template <typename T>
 void AppendRow(std::string* out, const T* data, size_t n) {
@@ -92,8 +114,6 @@ const char* CatalogFormatName(CatalogFormat format) {
   switch (format) {
     case CatalogFormat::kText:
       return "text";
-    case CatalogFormat::kBinary:
-      return "binary";
     case CatalogFormat::kBinaryV2:
       return "binary-v2";
   }
@@ -102,10 +122,9 @@ const char* CatalogFormatName(CatalogFormat format) {
 
 Result<CatalogFormat> ParseCatalogFormat(const std::string& name) {
   if (name == "text") return CatalogFormat::kText;
-  if (name == "binary") return CatalogFormat::kBinary;
   if (name == "binary-v2") return CatalogFormat::kBinaryV2;
   return Status::InvalidArgument("unknown catalog format '" + name +
-                                 "' (expected text|binary|binary-v2)");
+                                 "' (expected text|binary-v2)");
 }
 
 const char* CatalogVerifyName(CatalogVerify verify) {
@@ -231,100 +250,6 @@ Status WritePathHistogram(const PathHistogram& estimator,
 }
 
 // ----------------------------------------------------------- binary writer
-
-Status WritePathHistogramBinary(const PathHistogram& estimator,
-                                const LabelDictionary& labels,
-                                const std::vector<uint64_t>& cardinalities,
-                                std::string* out) {
-  const std::string& ordering_name = estimator.ordering().name();
-  if (!IsSerializableOrdering(ordering_name)) {
-    return Status::InvalidArgument(
-        "ordering '" + ordering_name +
-        "' materializes O(|L_k|) state and cannot be serialized compactly");
-  }
-  if (labels.size() != cardinalities.size()) {
-    return Status::InvalidArgument("cardinalities size mismatch");
-  }
-  const size_t k = estimator.ordering().space().k();
-  const size_t num_labels = labels.size();
-
-  // Section payloads, in id order.
-  std::vector<std::pair<uint32_t, std::string>> sections;
-  sections.emplace_back(
-      binfmt::kSectionOrdering,
-      BuildOrderingPayload(ordering_name,
-                           HistogramTypeName(estimator.histogram_type()), k));
-  sections.emplace_back(binfmt::kSectionLabels, BuildLabelsPayload(labels));
-  sections.emplace_back(binfmt::kSectionCardinalities,
-                        BuildCardsPayload(cardinalities));
-
-  // Structure-of-arrays bucket rows: the column layout the serving
-  // FlatHistogram wants, so an mmap tier can point at whole rows.
-  const auto& buckets = estimator.histogram().buckets();
-  std::string hist_payload;
-  hist_payload.reserve(8 + buckets.size() * 32);
-  AppendU64(&hist_payload, buckets.size());
-  for (const Bucket& b : buckets) AppendU64(&hist_payload, b.begin);
-  for (const Bucket& b : buckets) AppendU64(&hist_payload, b.end);
-  for (const Bucket& b : buckets) AppendDouble(&hist_payload, b.sum);
-  for (const Bucket& b : buckets) AppendDouble(&hist_payload, b.sumsq);
-  sections.emplace_back(binfmt::kSectionHistogram, std::move(hist_payload));
-
-  if (IsSumFamilyOrdering(ordering_name)) {
-    // The sum-based stage-2 CompositionTable rows, exactly as the ordering
-    // rebuilds them from (|L|, k). Carrying them on disk (a) lets the load
-    // path cross-check a semantic invariant no CRC can, and (b) is the row
-    // layout the mmap serving tier will consume directly.
-    CompositionTable table(num_labels, k);
-    std::string comp_payload;
-    AppendU32(&comp_payload, static_cast<uint32_t>(num_labels));
-    AppendU32(&comp_payload, static_cast<uint32_t>(k));
-    uint64_t num_values = 0;
-    for (uint64_t m = 1; m <= k; ++m) {
-      num_values += m * num_labels - m + 1;
-    }
-    AppendU64(&comp_payload, num_values);
-    for (uint64_t m = 1; m <= k; ++m) {
-      for (uint64_t sum = m; sum <= m * num_labels; ++sum) {
-        AppendU64(&comp_payload, table.Count(sum, m));
-      }
-    }
-    sections.emplace_back(binfmt::kSectionComposition,
-                          std::move(comp_payload));
-  }
-
-  // Assemble: header, table, payloads. Offsets are absolute.
-  const size_t table_bytes = sections.size() * binfmt::kSectionEntryBytes;
-  uint64_t offset = binfmt::kHeaderBytes + table_bytes;
-  std::string table;
-  table.reserve(table_bytes);
-  uint64_t total_size = offset;
-  for (const auto& [id, payload] : sections) {
-    AppendU32(&table, id);
-    AppendU32(&table, Crc32c(payload.data(), payload.size()));
-    AppendU64(&table, offset);
-    AppendU64(&table, payload.size());
-    offset += payload.size();
-    total_size += payload.size();
-  }
-
-  std::string header;
-  header.reserve(binfmt::kHeaderBytes);
-  header.append(reinterpret_cast<const char*>(binfmt::kMagic),
-                binfmt::kMagicBytes);
-  AppendU32(&header, binfmt::kVersion);
-  AppendU32(&header, static_cast<uint32_t>(sections.size()));
-  AppendU64(&header, total_size);
-  AppendU32(&header, Crc32c(header.data(), header.size()));
-  AppendU32(&header, Crc32c(table.data(), table.size()));
-
-  out->clear();
-  out->reserve(total_size);
-  out->append(header);
-  out->append(table);
-  for (const auto& [id, payload] : sections) out->append(payload);
-  return Status::OK();
-}
 
 Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
                                   const LabelDictionary& labels,
@@ -485,6 +410,25 @@ Status WritePathHistogramBinaryV2(const PathHistogram& estimator,
   return Status::OK();
 }
 
+namespace {
+
+// The one format dispatch of every save path.
+Status EncodePathHistogram(const PathHistogram& estimator,
+                           const LabelDictionary& labels,
+                           const std::vector<uint64_t>& cardinalities,
+                           CatalogFormat format, std::string* out) {
+  if (format == CatalogFormat::kBinaryV2) {
+    return WritePathHistogramBinaryV2(estimator, labels, cardinalities, out);
+  }
+  std::ostringstream text;
+  PATHEST_RETURN_NOT_OK(
+      WritePathHistogram(estimator, labels, cardinalities, &text));
+  *out = std::move(text).str();
+  return Status::OK();
+}
+
+}  // namespace
+
 Status SavePathHistogram(const PathHistogram& estimator, const Graph& graph,
                          const std::string& path, CatalogFormat format) {
   std::vector<uint64_t> cards(graph.num_labels());
@@ -492,23 +436,8 @@ Status SavePathHistogram(const PathHistogram& estimator, const Graph& graph,
     cards[l] = graph.LabelCardinality(l);
   }
   std::string bytes;
-  switch (format) {
-    case CatalogFormat::kBinary:
-      PATHEST_RETURN_NOT_OK(
-          WritePathHistogramBinary(estimator, graph.labels(), cards, &bytes));
-      break;
-    case CatalogFormat::kBinaryV2:
-      PATHEST_RETURN_NOT_OK(WritePathHistogramBinaryV2(
-          estimator, graph.labels(), cards, &bytes));
-      break;
-    case CatalogFormat::kText: {
-      std::ostringstream out;
-      PATHEST_RETURN_NOT_OK(
-          WritePathHistogram(estimator, graph.labels(), cards, &out));
-      bytes = out.str();
-      break;
-    }
-  }
+  PATHEST_RETURN_NOT_OK(
+      EncodePathHistogram(estimator, graph.labels(), cards, format, &bytes));
   // Atomic publication: a crashed or failed save never leaves a partial
   // catalog at `path`, and any previous file there survives byte-identical.
   return AtomicWriteFile(path, bytes);
@@ -517,25 +446,9 @@ Status SavePathHistogram(const PathHistogram& estimator, const Graph& graph,
 Status SaveLoadedPathHistogram(const LoadedPathHistogram& loaded,
                                const std::string& path, CatalogFormat format) {
   std::string bytes;
-  switch (format) {
-    case CatalogFormat::kBinary:
-      PATHEST_RETURN_NOT_OK(WritePathHistogramBinary(
-          loaded.estimator, loaded.labels, loaded.label_cardinalities,
-          &bytes));
-      break;
-    case CatalogFormat::kBinaryV2:
-      PATHEST_RETURN_NOT_OK(WritePathHistogramBinaryV2(
-          loaded.estimator, loaded.labels, loaded.label_cardinalities,
-          &bytes));
-      break;
-    case CatalogFormat::kText: {
-      std::ostringstream out;
-      PATHEST_RETURN_NOT_OK(WritePathHistogram(
-          loaded.estimator, loaded.labels, loaded.label_cardinalities, &out));
-      bytes = out.str();
-      break;
-    }
-  }
+  PATHEST_RETURN_NOT_OK(EncodePathHistogram(loaded.estimator, loaded.labels,
+                                            loaded.label_cardinalities, format,
+                                            &bytes));
   return AtomicWriteFile(path, bytes);
 }
 
@@ -686,34 +599,7 @@ Result<LoadedPathHistogram> ReadPathHistogramText(const std::string& content) {
 
 }  // namespace
 
-// ----------------------------------------------------------- binary reader
-
-bool LooksLikeBinaryCatalog(std::string_view bytes) {
-  return bytes.size() >= binfmt::kMagicBytes &&
-         (std::memcmp(bytes.data(), binfmt::kMagic, binfmt::kMagicBytes) ==
-              0 ||
-          std::memcmp(bytes.data(), binfmt::kMagicV2, binfmt::kMagicBytes) ==
-              0);
-}
-
-bool BytesAreBinaryV2(std::string_view bytes) {
-  return bytes.size() >= binfmt::kMagicBytes &&
-         std::memcmp(bytes.data(), binfmt::kMagicV2, binfmt::kMagicBytes) == 0;
-}
-
-Result<bool> SniffFileIsBinaryV2(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (!std::filesystem::exists(path)) {
-      return Status::NotFound("no such file: " + path);
-    }
-    return Status::IOError("cannot open " + path);
-  }
-  char head[binfmt::kMagicBytes];
-  in.read(head, sizeof head);
-  if (in.gcount() < static_cast<std::streamsize>(sizeof head)) return false;
-  return std::memcmp(head, binfmt::kMagicV2, binfmt::kMagicBytes) == 0;
-}
+// ----------------------------------------------------------- format sniff
 
 Result<CatalogFormat> SniffCatalogFormat(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -725,16 +611,8 @@ Result<CatalogFormat> SniffCatalogFormat(const std::string& path) {
   }
   char head[binfmt::kMagicBytes];
   in.read(head, sizeof head);
-  if (in.gcount() < static_cast<std::streamsize>(sizeof head)) {
-    return CatalogFormat::kText;  // too short for any binary magic
-  }
-  if (std::memcmp(head, binfmt::kMagicV2, binfmt::kMagicBytes) == 0) {
-    return CatalogFormat::kBinaryV2;
-  }
-  if (std::memcmp(head, binfmt::kMagic, binfmt::kMagicBytes) == 0) {
-    return CatalogFormat::kBinary;
-  }
-  return CatalogFormat::kText;
+  return ClassifyCatalogBytes(
+      std::string_view(head, static_cast<size_t>(in.gcount())));
 }
 
 namespace {
@@ -752,284 +630,6 @@ struct SectionEntry {
 };
 
 }  // namespace
-
-Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes) {
-  using namespace binfmt;  // NOLINT — layout constants
-  // ---- header: every check happens before the field it gates is used.
-  if (bytes.size() < kHeaderBytes) {
-    return Status::IOError("binary catalog: truncated header (" +
-                           std::to_string(bytes.size()) + " bytes)");
-  }
-  if (!LooksLikeBinaryCatalog(bytes)) {
-    return Status::IOError("binary catalog: bad magic");
-  }
-  BoundedReader header(bytes.data(), kHeaderBytes);
-  PATHEST_RETURN_NOT_OK(header.Skip(kMagicBytes, "magic"));
-  uint32_t version = 0, section_count = 0, header_crc = 0, table_crc = 0;
-  uint64_t file_size = 0;
-  PATHEST_RETURN_NOT_OK(header.ReadU32(&version, "version"));
-  PATHEST_RETURN_NOT_OK(header.ReadU32(&section_count, "section count"));
-  PATHEST_RETURN_NOT_OK(header.ReadU64(&file_size, "file size"));
-  PATHEST_RETURN_NOT_OK(header.ReadU32(&header_crc, "header crc"));
-  PATHEST_RETURN_NOT_OK(header.ReadU32(&table_crc, "table crc"));
-  if (Crc32c(bytes.data(), kHeaderBytes - 8) != header_crc) {
-    return Status::IOError("binary catalog: header checksum mismatch");
-  }
-  // Post-CRC: the header fields are authentic; now validate them.
-  if (version != kVersion) {
-    return Status::IOError("binary catalog: unsupported format version " +
-                           std::to_string(version) + " (reader knows " +
-                           std::to_string(kVersion) + ")");
-  }
-  if (file_size != bytes.size()) {
-    return Status::IOError("binary catalog: file is " +
-                           std::to_string(bytes.size()) +
-                           " bytes but the header expects " +
-                           std::to_string(file_size) + " (truncated copy?)");
-  }
-  if (section_count == 0 || section_count > kMaxSections) {
-    return Status::IOError("binary catalog: implausible section count " +
-                           std::to_string(section_count));
-  }
-  const uint64_t table_bytes =
-      static_cast<uint64_t>(section_count) * kSectionEntryBytes;
-  if (kHeaderBytes + table_bytes > bytes.size()) {
-    return Status::IOError("binary catalog: truncated section table");
-  }
-  if (Crc32c(bytes.data() + kHeaderBytes, table_bytes) != table_crc) {
-    return Status::IOError("binary catalog: section table checksum mismatch");
-  }
-
-  // ---- section table: offsets/lengths bounds-checked before any access.
-  BoundedReader table(bytes.data() + kHeaderBytes, table_bytes);
-  std::vector<SectionEntry> entries(section_count);
-  uint32_t prev_id = 0;
-  for (SectionEntry& e : entries) {
-    PATHEST_RETURN_NOT_OK(table.ReadU32(&e.id, "section id"));
-    PATHEST_RETURN_NOT_OK(table.ReadU32(&e.crc, "section crc"));
-    PATHEST_RETURN_NOT_OK(table.ReadU64(&e.offset, "section offset"));
-    PATHEST_RETURN_NOT_OK(table.ReadU64(&e.length, "section length"));
-    if (e.id <= prev_id) {
-      return Status::IOError(
-          "binary catalog: section ids not strictly ascending");
-    }
-    prev_id = e.id;
-    if (e.id > kSectionComposition) {
-      return Status::IOError("binary catalog: unknown section id " +
-                             std::to_string(e.id));
-    }
-    if (e.offset < kHeaderBytes + table_bytes ||
-        e.offset > bytes.size() || e.length > bytes.size() - e.offset) {
-      return SectionError(e.id, "extent [" + std::to_string(e.offset) +
-                                    ", +" + std::to_string(e.length) +
-                                    ") outside the file");
-    }
-  }
-
-  auto find_section = [&entries](uint32_t id) -> const SectionEntry* {
-    for (const SectionEntry& e : entries) {
-      if (e.id == id) return &e;
-    }
-    return nullptr;
-  };
-  for (uint32_t id : {kSectionOrdering, kSectionLabels,
-                      kSectionCardinalities, kSectionHistogram}) {
-    if (find_section(id) == nullptr) {
-      return SectionError(id, "required section missing");
-    }
-  }
-
-  // Payload accessor: the CRC is verified before the first byte of a
-  // section is interpreted.
-  auto open_section = [&](const SectionEntry& e,
-                          std::string_view* out) -> Status {
-    *out = bytes.substr(e.offset, e.length);
-    if (Crc32c(out->data(), out->size()) != e.crc) {
-      return SectionError(e.id, "checksum mismatch over " +
-                                    std::to_string(e.length) + " bytes");
-    }
-    return Status::OK();
-  };
-
-  // ---- section 1: ordering identity.
-  std::string_view payload;
-  PATHEST_RETURN_NOT_OK(open_section(*find_section(kSectionOrdering),
-                                     &payload));
-  BoundedReader ord(payload);
-  std::string ordering_name, type_name;
-  uint32_t k32 = 0, reserved = 0;
-  PATHEST_RETURN_NOT_OK(
-      ord.ReadLengthPrefixedString(&ordering_name, 64, "ordering name"));
-  PATHEST_RETURN_NOT_OK(
-      ord.ReadLengthPrefixedString(&type_name, 64, "histogram type"));
-  PATHEST_RETURN_NOT_OK(ord.ReadU32(&k32, "k"));
-  PATHEST_RETURN_NOT_OK(ord.ReadU32(&reserved, "ordering reserved"));
-  if (!ord.AtEnd()) {
-    return SectionError(kSectionOrdering, "trailing bytes");
-  }
-  if (!IsSerializableOrdering(ordering_name)) {
-    return SectionError(kSectionOrdering,
-                        "unknown serialized ordering: " + ordering_name);
-  }
-  auto type = ParseHistogramType(type_name);
-  if (!type.ok()) {
-    return SectionError(kSectionOrdering, type.status().message());
-  }
-  const uint64_t k = k32;
-  if (k < 1 || k > kMaxPathLength) {
-    return SectionError(kSectionOrdering, "bad k " + std::to_string(k));
-  }
-
-  // ---- section 2: label dictionary.
-  PATHEST_RETURN_NOT_OK(open_section(*find_section(kSectionLabels),
-                                     &payload));
-  BoundedReader lab(payload);
-  uint32_t num_labels = 0;
-  PATHEST_RETURN_NOT_OK(lab.ReadU32(&num_labels, "label count"));
-  if (num_labels == 0 || num_labels > kMaxLabels) {
-    return SectionError(kSectionLabels, "implausible label count " +
-                                            std::to_string(num_labels));
-  }
-  // Each label costs at least its 4-byte length prefix.
-  PATHEST_RETURN_NOT_OK(lab.ValidateCount(num_labels, 4, "labels"));
-  LabelDictionary labels;
-  for (uint32_t i = 0; i < num_labels; ++i) {
-    std::string name;
-    PATHEST_RETURN_NOT_OK(
-        lab.ReadLengthPrefixedString(&name, kMaxLabelNameBytes, "label name"));
-    if (name.empty()) {
-      return SectionError(kSectionLabels, "empty label name");
-    }
-    if (labels.Intern(name) != i) {
-      return SectionError(kSectionLabels, "duplicate label name: " + name);
-    }
-  }
-  if (!lab.AtEnd()) return SectionError(kSectionLabels, "trailing bytes");
-
-  // ---- section 3: cardinalities.
-  PATHEST_RETURN_NOT_OK(open_section(*find_section(kSectionCardinalities),
-                                     &payload));
-  BoundedReader car(payload);
-  uint32_t card_count = 0;
-  PATHEST_RETURN_NOT_OK(car.ReadU32(&card_count, "cardinality count"));
-  PATHEST_RETURN_NOT_OK(car.ReadU32(&reserved, "cardinalities reserved"));
-  if (card_count != num_labels) {
-    return SectionError(kSectionCardinalities,
-                        "count " + std::to_string(card_count) +
-                            " does not match " + std::to_string(num_labels) +
-                            " labels");
-  }
-  PATHEST_RETURN_NOT_OK(car.ValidateCount(card_count, 8, "cardinalities"));
-  std::vector<uint64_t> cards;
-  cards.reserve(card_count);
-  for (uint32_t i = 0; i < card_count; ++i) {
-    uint64_t f = 0;
-    PATHEST_RETURN_NOT_OK(car.ReadU64(&f, "cardinality"));
-    cards.push_back(f);
-  }
-  if (!car.AtEnd()) {
-    return SectionError(kSectionCardinalities, "trailing bytes");
-  }
-
-  // ---- section 4: histogram SoA rows.
-  PATHEST_RETURN_NOT_OK(open_section(*find_section(kSectionHistogram),
-                                     &payload));
-  BoundedReader his(payload);
-  uint64_t num_buckets = 0;
-  PATHEST_RETURN_NOT_OK(his.ReadU64(&num_buckets, "bucket count"));
-  if (num_buckets == 0) {
-    return SectionError(kSectionHistogram, "zero buckets");
-  }
-  // Four u64 rows of num_buckets each — validated as a whole before the
-  // bucket vector is sized from the untrusted count.
-  PATHEST_RETURN_NOT_OK(his.ValidateCount(num_buckets, 32, "buckets"));
-  std::vector<Bucket> buckets(num_buckets);
-  for (Bucket& b : buckets) {
-    PATHEST_RETURN_NOT_OK(his.ReadU64(&b.begin, "bucket begins"));
-  }
-  for (Bucket& b : buckets) {
-    PATHEST_RETURN_NOT_OK(his.ReadU64(&b.end, "bucket ends"));
-  }
-  for (Bucket& b : buckets) {
-    PATHEST_RETURN_NOT_OK(his.ReadDouble(&b.sum, "bucket sums"));
-  }
-  for (Bucket& b : buckets) {
-    PATHEST_RETURN_NOT_OK(his.ReadDouble(&b.sumsq, "bucket sumsqs"));
-  }
-  if (!his.AtEnd()) return SectionError(kSectionHistogram, "trailing bytes");
-
-  // ---- section 5: composition table (sum family only).
-  const SectionEntry* comp_entry = find_section(kSectionComposition);
-  if (IsSumFamilyOrdering(ordering_name) != (comp_entry != nullptr)) {
-    return SectionError(kSectionComposition,
-                        comp_entry == nullptr
-                            ? "missing for sum-family ordering"
-                            : "present for non-sum ordering");
-  }
-  if (comp_entry != nullptr) {
-    PATHEST_RETURN_NOT_OK(open_section(*comp_entry, &payload));
-    BoundedReader com(payload);
-    uint32_t comp_labels = 0, comp_k = 0;
-    uint64_t num_values = 0;
-    PATHEST_RETURN_NOT_OK(com.ReadU32(&comp_labels, "composition |L|"));
-    PATHEST_RETURN_NOT_OK(com.ReadU32(&comp_k, "composition k"));
-    PATHEST_RETURN_NOT_OK(com.ReadU64(&num_values, "composition count"));
-    if (comp_labels != num_labels || comp_k != k) {
-      return SectionError(kSectionComposition,
-                          "shape (|L|=" + std::to_string(comp_labels) +
-                              ", k=" + std::to_string(comp_k) +
-                              ") does not match the catalog");
-    }
-    uint64_t expected_values = 0;
-    for (uint64_t m = 1; m <= k; ++m) {
-      expected_values += m * num_labels - m + 1;
-    }
-    if (num_values != expected_values) {
-      return SectionError(kSectionComposition,
-                          "value count " + std::to_string(num_values) +
-                              " (expected " + std::to_string(expected_values) +
-                              ")");
-    }
-    PATHEST_RETURN_NOT_OK(
-        com.ValidateCount(num_values, 8, "composition values"));
-    // Semantic integrity beyond the CRC: the persisted stage-2 rows must be
-    // exactly what the ordering will rebuild from (|L|, k) — a mismatch
-    // means a wrong-but-well-formed file, the one corruption class a
-    // checksum of the file alone cannot see.
-    CompositionTable expected(num_labels, k);
-    for (uint64_t m = 1; m <= k; ++m) {
-      for (uint64_t sum = m; sum <= m * num_labels; ++sum) {
-        uint64_t v = 0;
-        PATHEST_RETURN_NOT_OK(com.ReadU64(&v, "composition value"));
-        if (v != expected.Count(sum, m)) {
-          return SectionError(
-              kSectionComposition,
-              "value mismatch at (m=" + std::to_string(m) +
-                  ", sum=" + std::to_string(sum) + "): file has " +
-                  std::to_string(v) + ", recomputed " +
-                  std::to_string(expected.Count(sum, m)));
-        }
-      }
-    }
-    if (!com.AtEnd()) {
-      return SectionError(kSectionComposition, "trailing bytes");
-    }
-  }
-
-  // ---- assembly (shared semantic validation with the text path).
-  auto histogram = Histogram::FromBuckets(std::move(buckets));
-  if (!histogram.ok()) {
-    return SectionError(kSectionHistogram,
-                        "invalid buckets: " + histogram.status().message());
-  }
-  auto ordering = MakeOrderingFromStats(ordering_name, labels, cards, k);
-  if (!ordering.ok()) return ordering.status();
-  auto estimator = PathHistogram::FromParts(std::move(*ordering),
-                                            std::move(*histogram), *type);
-  if (!estimator.ok()) return estimator.status();
-  return LoadedPathHistogram{std::move(labels), std::move(cards),
-                             std::move(*estimator)};
-}
 
 // -------------------------------------------------- v2 parse layer (shared)
 
@@ -1062,12 +662,14 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
     return Status::InvalidArgument(
         "catalog v2 buffer must be 8-byte aligned");
   }
-  // ---- header: same authentication discipline as v1.
+  // ---- header: every check happens before the field it gates is used.
   if (bytes.size() < kHeaderBytes) {
     return Status::IOError("binary catalog: truncated header (" +
                            std::to_string(bytes.size()) + " bytes)");
   }
-  if (!BytesAreBinaryV2(bytes)) {
+  auto format = ClassifyCatalogBytes(bytes);
+  if (!format.ok()) return format.status();
+  if (*format != CatalogFormat::kBinaryV2) {
     return Status::IOError("binary catalog: bad magic");
   }
   BoundedReader header(bytes.data(), kHeaderBytes);
@@ -1082,6 +684,7 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
   if (Crc32c(bytes.data(), kHeaderBytes - 8) != header_crc) {
     return Status::IOError("binary catalog: header checksum mismatch");
   }
+  // Post-CRC: the header fields are authentic; now validate them.
   if (version != kVersionV2) {
     return Status::IOError("binary catalog: unsupported format version " +
                            std::to_string(version) + " (reader knows " +
@@ -1577,24 +1180,28 @@ Result<LoadedPathHistogram> ReadPathHistogramBinaryV2(std::string_view bytes) {
 
 // --------------------------------------------------------------- dispatch
 
-Result<LoadedPathHistogram> ReadPathHistogram(std::istream* in) {
-  std::string content{std::istreambuf_iterator<char>(*in),
-                      std::istreambuf_iterator<char>()};
-  if (BytesAreBinaryV2(content)) return ReadPathHistogramBinaryV2(content);
-  if (LooksLikeBinaryCatalog(content)) {
-    return ReadPathHistogramBinary(content);
+namespace {
+
+Result<LoadedPathHistogram> ReadCatalogBytes(const std::string& content) {
+  auto format = ClassifyCatalogBytes(content);
+  if (!format.ok()) return format.status();
+  if (*format == CatalogFormat::kBinaryV2) {
+    return ReadPathHistogramBinaryV2(content);
   }
   return ReadPathHistogramText(content);
+}
+
+}  // namespace
+
+Result<LoadedPathHistogram> ReadPathHistogram(std::istream* in) {
+  return ReadCatalogBytes(std::string{std::istreambuf_iterator<char>(*in),
+                                      std::istreambuf_iterator<char>()});
 }
 
 Result<LoadedPathHistogram> LoadPathHistogram(const std::string& path) {
   std::string content;
   PATHEST_RETURN_NOT_OK(ReadFileToString(path, &content));
-  if (BytesAreBinaryV2(content)) return ReadPathHistogramBinaryV2(content);
-  if (LooksLikeBinaryCatalog(content)) {
-    return ReadPathHistogramBinary(content);
-  }
-  return ReadPathHistogramText(content);
+  return ReadCatalogBytes(content);
 }
 
 }  // namespace pathest

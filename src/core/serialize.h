@@ -8,12 +8,16 @@
 //
 //   - a versioned, human-auditable TEXT format (the interchange/debug
 //     path), and
-//   - a versioned, checksummed BINARY catalog (format v1, below) — the
-//     serving format, whose section layout is designed so a future tier
-//     can mmap it and fix up pointers instead of parsing.
+//   - a versioned, checksummed, page-aligned BINARY catalog ("binary-v2",
+//     below) — the serving format, laid out so a mapped file IS the set of
+//     serving rows (core/mapped_catalog.h fixes pointers up instead of
+//     parsing).
 //
-// LoadPathHistogram sniffs the leading magic and dispatches, so every
-// caller (CLI, catalog, benches) reads both formats transparently.
+// SniffCatalogFormat / LoadPathHistogram read the leading magic and
+// dispatch, so every caller (CLI, catalog, benches) reads both formats
+// transparently. The retired binary catalog v1 ("PESTB1") is recognized
+// by its magic only to refuse it with a typed IOError that names the
+// upgrade path; it is never parsed, and never mistaken for text.
 //
 // ---------------------------------------------------------------------------
 // Text format ("pathest-histogram v1"), line-oriented:
@@ -27,17 +31,17 @@
 //   <begin> <end> <sum> <sumsq>              # beta lines, sums in hexfloat
 //
 // ---------------------------------------------------------------------------
-// Binary catalog format v1 ("PESTB1"). All fields little-endian,
-// fixed-width; doubles travel as their IEEE-754 bit pattern in a u64
-// (bit-exact round trips, no locale, no hexfloat parsing).
+// Binary catalog v2 ("PESTB2"). All fields little-endian, fixed-width;
+// doubles travel as their IEEE-754 bit pattern in a u64 (bit-exact round
+// trips, no locale, no hexfloat parsing).
 //
 // Header (32 bytes):
 //   offset  size  field
-//   0       8     magic: 89 'P' 'E' 'S' 'T' 'B' '1' 0A
+//   0       8     magic: 89 'P' 'E' 'S' 'T' 'B' '2' 0A
 //                 (high-bit lead byte + trailing \n, PNG-style: a text
 //                 transfer that mangles either is caught at the magic)
-//   8       4     u32 format version (= 1)
-//   12      4     u32 section count
+//   8       4     u32 format version (= 2)
+//   12      4     u32 section count (1..kMaxSections)
 //   16      8     u64 total file size (must equal the actual byte count —
 //                 truncation and padding are caught before any section CRC)
 //   24      4     u32 CRC32C over header bytes [0, 24)
@@ -45,40 +49,17 @@
 //
 // Section table (24 bytes per entry, immediately after the header):
 //   u32 section id      u32 CRC32C of the payload
-//   u64 absolute offset u64 payload length
-// Entries are sorted by ascending id; ids must be unique and known.
-// Payloads follow the table back to back, but readers MUST navigate via
-// the table (offset/length), never by accumulation — that is what makes
-// the layout extensible and each section independently verifiable.
+//   u64 absolute offset u64 payload length (exact, unpadded)
+// Entries are sorted by strictly ascending id; ids must be known. Readers
+// MUST navigate via the table (offset/length), never by accumulation —
+// that is what makes each section independently verifiable.
 //
-// Section payloads (every CRC is verified BEFORE its payload is parsed;
-// every count is bounds-checked against the payload size before any
-// allocation — see util/safe_io.h BoundedReader):
-//   1 ordering       lpstr ordering-name, lpstr histogram-type, u32 k,
-//                    u32 reserved(0)          (lpstr = u32 length + bytes)
-//   2 labels         u32 n, then n lpstr names in label-id order
-//   3 cardinalities  u32 n (== labels n), u32 reserved(0), n × u64 f(l)
-//   4 histogram      u64 beta, then FOUR structure-of-arrays rows of beta
-//                    u64s each: begin[], end[], sum-bits[], sumsq-bits[]
-//                    (column-major — the serving FlatHistogram layout, so
-//                    the future mmap tier can point straight at the rows)
-//   5 composition    u32 |L|, u32 k, u64 value-count, then for each
-//                    m in [1, k] the row Count(sum, m) for
-//                    sum in [m, m·|L|] — the sum-based ordering's stage-2
-//                    CompositionTable. Present iff the ordering is of the
-//                    sum family; verified against a freshly built table on
-//                    load (semantic integrity beyond the CRC).
-//
-// ---------------------------------------------------------------------------
-// Binary catalog format v2 ("PESTB2") — the mmap serving format. Same
-// 32-byte header and 24-byte section-table layout as v1 (only the magic
-// byte '1' -> '2' and the version field differ), but the body is laid out
-// for zero-copy consumption:
-//
+// Layout rules, for zero-copy consumption:
 //   * Every section OFFSET is a multiple of kPageBytes (4096). The gap
-//     between a section's end and the next section's page-aligned start is
-//     zero padding that belongs to NO section: it is outside every CRC and
-//     provably ignored by readers (payload lengths are exact).
+//     between a section's end (and the table's end) and the next section's
+//     page-aligned start is zero padding that belongs to NO section: it is
+//     outside every CRC and provably ignored by readers. The last section
+//     ends the file exactly.
 //   * Every interior ARRAY starts at a multiple of kArrayAlignBytes (64)
 //     relative to its payload start. Since page >> 64, the arrays are also
 //     64-aligned in absolute file (and therefore mapping) addresses.
@@ -87,40 +68,47 @@
 //   * Bulk data travels as full little-endian u64 / IEEE-754-bit rows that
 //     a mapped reader can point spans at with zero parsing.
 //
-// v2 section payloads (1-3 are byte-identical to v1):
-//   4 histogram    u64 beta, u64 domain_size, then 64-aligned rows
-//                  begin u64[beta], end u64[beta], sum-bits u64[beta],
-//                  sumsq-bits u64[beta]  (the v1 diagnostic rows), plus the
-//                  PRECOMPUTED serving rows of histogram/flat_histogram.h:
-//                  mean f64[beta], prefix f64[beta+1],
-//                  eytz-begin u64[beta+1], eytz-rank u32[beta+1]
-//   5 composition  u32 |L|, u32 k, u64 value-count, then 64-aligned rows
-//                  counts u64[value-count]  (v1's m-major rows) and
-//                  prefix u64[value-count + k]  (the stage-2 prefix rows
-//                  the sum-based Rank fast path reads)
-//   6 sum-index    u32 key-scheme (ordering/sum_based.h SumKeyScheme),
-//                  u32 key-bits, u64 num-cells, u64 total-blocks, then
-//                  64-aligned rows cell-starts u64[num-cells + 1],
-//                  keys / offsets / nops u64[total-blocks] each — the flat
-//                  stage-3 index exactly as SumBasedOrdering consumes it.
-//                  Under scheme kNone: num-cells = total-blocks = 0 and the
-//                  payload is the 24-byte prolog alone.
+// Section payloads (every count is bounds-checked before it sizes anything
+// — see util/safe_io.h BoundedReader; lpstr = u32 length + bytes):
+//   1 ordering       lpstr ordering-name, lpstr histogram-type, u32 k,
+//                    u32 reserved(0)
+//   2 labels         u32 n, then n lpstr names in label-id order
+//   3 cardinalities  u32 n (== labels n), u32 reserved(0), n × u64 f(l)
+//   4 histogram      u64 beta, u64 domain_size, then 64-aligned rows
+//                    begin u64[beta], end u64[beta], sum-bits u64[beta],
+//                    sumsq-bits u64[beta]  (the primary bucket rows), plus
+//                    the PRECOMPUTED serving rows of
+//                    histogram/flat_histogram.h: mean f64[beta],
+//                    prefix f64[beta+1], eytz-begin u64[beta+1],
+//                    eytz-rank u32[beta+1]
+//   5 composition    u32 |L|, u32 k, u64 value-count, then 64-aligned rows
+//                    counts u64[value-count] (for each m in [1, k] the row
+//                    Count(sum, m), sum in [m, m·|L|] — the sum-based
+//                    ordering's stage-2 CompositionTable) and prefix
+//                    u64[value-count + k] (the stage-2 prefix rows the
+//                    sum-based Rank fast path reads)
+//   6 sum-index      u32 key-scheme (ordering/sum_based.h SumKeyScheme),
+//                    u32 key-bits, u64 num-cells, u64 total-blocks, then
+//                    64-aligned rows cell-starts u64[num-cells + 1],
+//                    keys / offsets / nops u64[total-blocks] each — the flat
+//                    stage-3 index exactly as SumBasedOrdering consumes it.
+//                    Under scheme kNone: num-cells = total-blocks = 0 and the
+//                    payload is the 24-byte prolog alone.
 // Sections 5 and 6 are present iff the ordering is of the sum family.
 //
 // Because the serving rows are persisted rather than derived, constructing
-// an Estimator from a mapped v2 file is pure pointer fixup
-// (core/mapped_catalog.h) — microseconds and O(1) allocations, with the
-// row bytes faulted lazily by the kernel. The copying loader
-// (ReadPathHistogramBinaryV2) instead verifies the derived rows against a
-// fresh rebuild (full-tier semantics) and returns an owned estimator.
+// an Estimator over v2 bytes is pure pointer fixup (core/mapped_catalog.h)
+// — microseconds and O(1) allocations, with mapped row bytes faulted
+// lazily by the kernel. The copying loader (ReadPathHistogramBinaryV2)
+// instead verifies the derived rows against a fresh rebuild (full-tier
+// semantics) and returns an owned estimator. Both go through the ONE
+// parser, internal::ParseCatalogV2 (core/serialize_internal.h).
 //
 // Versioning/compat rules: the major version in the header is bumped on
 // ANY layout change to existing sections; readers reject versions they do
-// not know. New OPTIONAL sections may be added under new ids without a
-// version bump only once readers skip unknown ids — v1 readers do NOT
-// (unknown ids are an error), so v1 writers must emit exactly the sections
-// above. The committed golden catalog (tests/golden/) pins this layout
-// byte-for-byte against accidental drift.
+// not know, and unknown section ids are an error. The committed golden
+// catalog (tests/golden/catalog_v2.stats) pins this layout byte-for-byte
+// against accidental drift.
 //
 // Corruption contract (enforced by tests/fault_injection_test.cc): any
 // truncation, bit flip, or forged length/count in a catalog file yields a
@@ -133,9 +121,9 @@
 // ordering is impractical, now visible as an API boundary).
 //
 // Timing note (β = 27993 catalog, 1-core container): the text reader —
-// slurp + from_chars cursor — costs ~8 ms end to end; the binary reader
-// replaces parsing with CRC walks plus memcpy and is the reason the
-// serving path prefers this format (see BENCH_catalog_io.json).
+// slurp + from_chars cursor — costs ~8 ms end to end; mapping a v2 file
+// costs microseconds (see BENCH_catalog_io.json), which is why serving
+// prefers it.
 
 #ifndef PATHEST_CORE_SERIALIZE_H_
 #define PATHEST_CORE_SERIALIZE_H_
@@ -153,8 +141,7 @@ namespace pathest {
 /// \brief On-disk representation of a persisted estimator.
 enum class CatalogFormat {
   kText,      // line-oriented, human-auditable (interchange/debug)
-  kBinary,    // checksummed section-table binary v1 (serving)
-  kBinaryV2,  // page-aligned binary v2 (mmap zero-copy serving)
+  kBinaryV2,  // page-aligned, checksummed binary (mmap zero-copy serving)
 };
 
 const char* CatalogFormatName(CatalogFormat format);
@@ -193,16 +180,13 @@ const char* CatalogVerifyName(CatalogVerify verify);
 namespace binfmt {
 
 inline constexpr size_t kMagicBytes = 8;
-inline constexpr unsigned char kMagic[kMagicBytes] = {0x89, 'P',  'E', 'S',
-                                                      'T',  'B',  '1', 0x0A};
 inline constexpr unsigned char kMagicV2[kMagicBytes] = {0x89, 'P',  'E', 'S',
                                                         'T',  'B',  '2', 0x0A};
-inline constexpr uint32_t kVersion = 1;
 inline constexpr uint32_t kVersionV2 = 2;
 inline constexpr size_t kHeaderBytes = 32;
 inline constexpr size_t kSectionEntryBytes = 24;
-/// Hard ceiling on the section count a reader will consider (v1 writes at
-/// most 5, v2 at most 6); anything larger is a forged header.
+/// Hard ceiling on the section count a reader will consider (writers emit
+/// at most 6); anything larger is a forged header.
 inline constexpr uint32_t kMaxSections = 64;
 
 /// v2 alignment rules: section offsets are page multiples; interior arrays
@@ -217,7 +201,7 @@ enum SectionId : uint32_t {
   kSectionCardinalities = 3,
   kSectionHistogram = 4,
   kSectionComposition = 5,
-  kSectionSumIndex = 6,  // v2 only
+  kSectionSumIndex = 6,
 };
 
 /// \brief Stable name of a section id ("ordering", ...; "?" if unknown).
@@ -229,7 +213,7 @@ inline constexpr uint64_t AlignUp(uint64_t v, uint64_t align) {
 
 /// v2 payload geometry, computed from the shape prologs alone — the ONE
 /// definition of every interior-array offset, shared by the writer, the
-/// copying reader, the mapped reader, and the layout tests. All offsets
+/// parser, and the layout tests. All offsets
 /// are relative to the payload start; payload_bytes is the exact (unpadded)
 /// payload length the section-table entry must carry.
 struct HistogramLayoutV2 {
@@ -268,12 +252,6 @@ Status WritePathHistogram(const PathHistogram& estimator,
                           const std::vector<uint64_t>& label_cardinalities,
                           std::ostream* out);
 
-/// \brief Serializes the estimator into `*out` in binary catalog v1.
-Status WritePathHistogramBinary(const PathHistogram& estimator,
-                                const LabelDictionary& labels,
-                                const std::vector<uint64_t>& cardinalities,
-                                std::string* out);
-
 /// \brief Serializes the estimator into `*out` in page-aligned binary
 /// catalog v2 (precomputed serving rows + stage-2/3 tables — see the
 /// format spec above).
@@ -296,28 +274,13 @@ struct LoadedPathHistogram {
   PathHistogram estimator;
 };
 
-/// \brief True when `bytes` begins with either binary catalog magic
-/// (v1 or v2).
-bool LooksLikeBinaryCatalog(std::string_view bytes);
-
-/// \brief True when `bytes` begins with the v2 magic specifically.
-bool BytesAreBinaryV2(std::string_view bytes);
-
-/// \brief Reads only the leading magic of `path` (no slurp) and reports
-/// whether it is a binary catalog v2 — the serving loader's cheap dispatch
-/// between the mmap path and the copying path. NotFound/IOError propagate;
-/// a file shorter than the magic is simply `false`.
-Result<bool> SniffFileIsBinaryV2(const std::string& path);
-
-/// \brief Classifies `path` by its leading magic (no slurp): binary v2,
-/// binary v1, or — for anything without a binary magic — text. Behind
-/// `catalog verify`'s per-entry format report and `catalog convert`'s
+/// \brief Classifies `path` by its leading magic (no slurp): binary v2, or
+/// — for anything without a binary magic, including files shorter than
+/// one — text. A file carrying the retired v1 magic is an IOError naming
+/// the upgrade path. Behind the serving loader's mmap dispatch, `catalog
+/// verify`'s per-entry format report, and `catalog convert`'s
 /// skip-if-already-target check. NotFound/IOError propagate.
 Result<CatalogFormat> SniffCatalogFormat(const std::string& path);
-
-/// \brief Parses a binary catalog v1 from an in-memory byte buffer,
-/// verifying every checksum before interpreting any section.
-Result<LoadedPathHistogram> ReadPathHistogramBinary(std::string_view bytes);
 
 /// \brief Parses a binary catalog v2 from an in-memory byte buffer at
 /// CatalogVerify::kFull (every CRC, every structural scan, every semantic

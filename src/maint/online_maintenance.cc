@@ -366,7 +366,6 @@ Result<RefreshOutcome> OnlineMaintenance::Refresh() {
 
   graph_ = std::make_unique<Graph>(std::move(*patched));
   map_ = std::make_unique<SelectivityMap>(std::move(*new_map));
-  labels_ = graph_->labels();
   epoch_ += 1;
   outcome.epoch = epoch_;
   outcome.applied_edges = batch.size();
@@ -463,9 +462,11 @@ Status OnlineMaintenance::PersistEntriesFor(
                                           entry.histogram_type,
                                           entry.num_buckets);
     PATHEST_RETURN_NOT_OK(estimator.status());
+    // Always the serving format: a re-persisted entry keeps mapping
+    // zero-copy whatever format it was first written in.
     PATHEST_RETURN_NOT_OK(SavePathHistogram(
         *estimator, graph, options_.catalog_dir + "/" + entry.name + ".stats",
-        options_.save_format));
+        CatalogFormat::kBinaryV2));
     if (refreshed != nullptr) refreshed->push_back(entry.name);
   }
   return Status::OK();

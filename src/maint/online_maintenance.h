@@ -9,7 +9,7 @@
 //                                      base.graph at depth k
 //   <catalog_dir>/maint/deltas.journal edge-delta WAL (delta_journal.h)
 //   <catalog_dir>/*.stats              the served entries, re-persisted
-//                                      after every refresh
+//                                      as binary-v2 after every refresh
 //
 // Invariant: base.map == ComputeSelectivities(base.graph, k), and the
 // journal holds every acknowledged delta since base.graph. The current
@@ -71,8 +71,6 @@ struct MaintenanceOptions {
   /// Rebuild engine knobs (threads, kernel, pair guard).
   /// max_pairs_per_prefix must not shrink between builds of the same base.
   SelectivityOptions selectivity;
-  /// Format for re-persisted entries.
-  CatalogFormat save_format = CatalogFormat::kBinary;
   /// Auto-compact when the journal holds at least this many records
   /// (0 = only explicit Compact calls).
   uint64_t compact_every_records = 4096;
@@ -185,7 +183,7 @@ class OnlineMaintenance {
   // base_graph_crc_ to the CRC32C of the on-disk bytes.
   Status LoadOrBootstrapBaseGraph(std::unique_ptr<Graph>* base_graph);
   // Rebuilds every EntryConfig from (graph, map) and atomically persists
-  // them to <catalog_dir>/<name>.stats.
+  // them to <catalog_dir>/<name>.stats as binary-v2.
   Status PersistEntriesFor(const Graph& graph, const SelectivityMap& map,
                            std::vector<std::string>* refreshed);
   Status SaveBaseMap(const SelectivityMap& map);

@@ -6,6 +6,29 @@
 namespace pathest {
 namespace serve {
 
+namespace {
+
+// Every entry becomes one MappedCatalogEntry. A v2 file maps through the
+// cache: an unchanged file re-pins its cached mapping, a changed one is
+// mapped and admission-verified. A text entry is parsed, encoded to v2,
+// and its buffer opened through the same fixup.
+Result<std::shared_ptr<const MappedCatalogEntry>> OpenEntry(
+    const std::string& path, CatalogCache* mmap_cache) {
+  auto format = SniffCatalogFormat(path);
+  if (!format.ok()) return format.status();
+  if (*format == CatalogFormat::kBinaryV2) return mmap_cache->GetOrOpen(path);
+  auto loaded = LoadPathHistogram(path);
+  if (!loaded.ok()) return loaded.status();
+  std::string bytes;
+  PATHEST_RETURN_NOT_OK(WritePathHistogramBinaryV2(
+      loaded->estimator, loaded->labels, loaded->label_cardinalities,
+      &bytes));
+  return MappedCatalogEntry::FromBuffer(std::move(bytes),
+                                        CatalogVerify::kChecksums);
+}
+
+}  // namespace
+
 Result<SnapshotLoadResult> LoadCatalogSnapshots(const std::string& dir,
                                                 uint64_t version,
                                                 CatalogCache* mmap_cache) {
@@ -14,40 +37,16 @@ Result<SnapshotLoadResult> LoadCatalogSnapshots(const std::string& dir,
   SnapshotLoadResult result;
   for (const std::string& path : *entries) {
     const std::string name = std::filesystem::path(path).stem().string();
-    if (mmap_cache != nullptr) {
-      auto is_v2 = SniffFileIsBinaryV2(path);
-      if (is_v2.ok() && *is_v2) {
-        // Zero-copy path: an unchanged file re-pins its cached mapping; a
-        // changed one is mapped and admission-verified. Failures follow
-        // the same quarantine contract as the copying path below.
-        auto mapped = mmap_cache->GetOrOpen(path);
-        if (!mapped.ok()) {
-          result.report.failures.push_back(
-              MakeCatalogLoadFailure(path, mapped.status()));
-          continue;
-        }
-        result.snapshots[name] = std::make_shared<const ServingSnapshot>(
-            name, std::move(*mapped), version);
-        result.report.loaded.push_back(name);
-        continue;
-      }
-      if (!is_v2.ok()) {
-        result.report.failures.push_back(
-            MakeCatalogLoadFailure(path, is_v2.status()));
-        continue;
-      }
-    }
-    auto loaded = LoadPathHistogram(path);
-    if (!loaded.ok()) {
-      // Same quarantine shape as StatisticsCatalog::LoadAll: the failure
-      // is recorded (path + implicated section + typed error) and the
-      // remaining entries still become snapshots.
+    auto entry = OpenEntry(path, mmap_cache);
+    if (!entry.ok()) {
+      // Quarantine: the failure is recorded (path + implicated section +
+      // typed error) and the remaining entries still become snapshots.
       result.report.failures.push_back(
-          MakeCatalogLoadFailure(path, loaded.status()));
+          MakeCatalogLoadFailure(path, entry.status()));
       continue;
     }
     result.snapshots[name] = std::make_shared<const ServingSnapshot>(
-        name, std::move(*loaded), version);
+        name, std::move(*entry), version);
     result.report.loaded.push_back(name);
   }
   return result;

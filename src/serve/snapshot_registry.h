@@ -5,12 +5,13 @@
 // readers never block writers and writers never block readers, because the
 // whole registry state is ONE immutable value behind an atomic pointer.
 //
-//   * A ServingSnapshot is one catalog entry frozen for serving: the
-//     deserialized PathHistogram (which owns the label dictionary the
-//     entry's queries parse against) plus the Estimator fast-path facade
-//     built over it. Snapshots are immutable after construction and shared
-//     as shared_ptr<const ServingSnapshot>; a reader that pinned one keeps
-//     it alive across any number of concurrent swaps.
+//   * A ServingSnapshot is one catalog entry frozen for serving: a pinned
+//     MappedCatalogEntry (core/mapped_catalog.h), which owns the label
+//     dictionary the entry's queries parse against and the Estimator
+//     fast-path facade over the entry's v2 image. Snapshots are immutable
+//     after construction and shared as shared_ptr<const ServingSnapshot>; a
+//     reader that pinned one keeps it alive across any number of
+//     concurrent swaps.
 //
 //   * SnapshotRegistry holds shared_ptr<const RegistryState> (an immutable
 //     name -> snapshot map) behind std::atomic. Readers do one atomic
@@ -43,7 +44,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "core/catalog.h"
@@ -73,35 +73,22 @@
 namespace pathest {
 namespace serve {
 
-/// \brief One catalog entry frozen for concurrent serving. Two storage
-/// forms behind the same accessors: COPIED (a deserialized
-/// LoadedPathHistogram owning every row) and MAPPED (a pinned
-/// MappedCatalogEntry serving the rows straight out of an mmap'ed binary
-/// catalog v2 — the pin keeps the mapping alive across cache evictions).
+/// \brief One catalog entry frozen for concurrent serving: a pinned
+/// MappedCatalogEntry whose rows live in an mmap'ed binary-v2 file or, for
+/// a text entry, in the heap buffer it was encoded into. The pin keeps the
+/// image alive across cache evictions for as long as ANY reader might
+/// still be estimating from it.
 class ServingSnapshot {
  public:
   /// \param name entry name (the file stem).
-  /// \param loaded the deserialized estimator state; moved in. The
-  ///   Estimator facade is built against the histogram at its FINAL
-  ///   address inside this object (member-init order: loaded_ first).
+  /// \param entry the served image; shared with the CatalogCache when
+  ///   mapped.
   /// \param version registry version that installed this snapshot.
-  ServingSnapshot(std::string name, LoadedPathHistogram loaded,
-                  uint64_t version)
-      : name_(std::move(name)),
-        loaded_(std::move(loaded)),
-        version_(version),
-        created_(std::chrono::steady_clock::now()) {
-    serving_.emplace(loaded_->estimator);
-  }
-
-  /// \brief Mapped form: serves through the entry's borrowed estimator;
-  /// the shared_ptr pin is what keeps the mapping resident while ANY
-  /// reader might still be estimating from it.
   ServingSnapshot(std::string name,
-                  std::shared_ptr<const MappedCatalogEntry> mapped,
+                  std::shared_ptr<const MappedCatalogEntry> entry,
                   uint64_t version)
       : name_(std::move(name)),
-        mapped_(std::move(mapped)),
+        entry_(std::move(entry)),
         version_(version),
         created_(std::chrono::steady_clock::now()) {}
 
@@ -115,37 +102,25 @@ class ServingSnapshot {
   /// a kept_stale entry's statistics are.
   std::chrono::steady_clock::time_point created() const { return created_; }
   /// \brief The label dictionary request paths parse against.
-  const LabelDictionary& labels() const {
-    return mapped_ ? mapped_->labels() : loaded_->labels;
-  }
+  const LabelDictionary& labels() const { return entry_->labels(); }
   /// \brief The immutable fast-path serving facade (thread-safe for any
   /// number of concurrent readers, each with its own RankScratch).
-  const Estimator& estimator() const {
-    return mapped_ ? mapped_->estimator() : *serving_;
-  }
+  const Estimator& estimator() const { return entry_->estimator(); }
 
   /// \brief True when this snapshot serves from an mmap'ed catalog v2.
-  bool is_mapped() const { return mapped_ != nullptr; }
-  /// \brief Bytes of the backing mapping (0 for the copied form).
-  size_t mapped_bytes() const {
-    return mapped_ ? mapped_->mapped_bytes() : 0;
-  }
-  /// \brief Heap bytes this snapshot owns: the full deserialized rows for
-  /// the copied form, only parsed metadata for the mapped form — the gap
-  /// is the zero-copy win `stats` reports per entry.
-  size_t resident_bytes() const {
-    return mapped_ ? mapped_->resident_bytes()
-                   : serving_->ResidentBytes();
-  }
+  bool is_mapped() const { return entry_->is_mapped(); }
+  /// \brief Bytes of the backing mapping (0 for a text entry's buffer).
+  size_t mapped_bytes() const { return entry_->mapped_bytes(); }
+  /// \brief Heap bytes this snapshot owns: parsed metadata, plus the
+  /// whole encoded image for a text entry — the gap to mapped_bytes() is
+  /// the zero-copy win `stats` reports per entry.
+  size_t resident_bytes() const { return entry_->resident_bytes(); }
 
  private:
   std::string name_;
-  // Exactly one of loaded_/mapped_ is engaged (the storage form).
-  std::optional<LoadedPathHistogram> loaded_;
-  std::shared_ptr<const MappedCatalogEntry> mapped_;
+  std::shared_ptr<const MappedCatalogEntry> entry_;
   uint64_t version_;
   std::chrono::steady_clock::time_point created_;
-  std::optional<Estimator> serving_;  // copied form only; borrows loaded_
 };
 
 /// \brief Immutable registry state: entry name -> snapshot, plus the
@@ -211,16 +186,16 @@ struct SnapshotLoadResult {
 /// VerifyCatalogDir) and the rest still load; only an unreadable directory
 /// fails the whole call.
 ///
-/// With a non-null `mmap_cache`, binary-v2 entries are served ZERO-COPY
-/// through the cache: an unchanged file re-pins its existing mapping (no
-/// bytes re-read, no re-verification), a changed one is mapped and
-/// admission-verified at the cache's tier. A v2 entry the cache rejects is
-/// quarantined exactly like a corrupt copied entry. Text and v1 entries
-/// always take the copying path.
+/// Binary-v2 entries are served ZERO-COPY through `mmap_cache`: an
+/// unchanged file re-pins its existing mapping (no bytes re-read, no
+/// re-verification), a changed one is mapped and admission-verified at the
+/// cache's tier. Text entries are parsed, encoded to a v2 buffer and
+/// opened at kChecksums, so every entry serves through the same
+/// MappedCatalogEntry. A v2 entry the cache rejects, an unparsable text
+/// entry, and a retired v1 entry are all quarantined alike.
 Result<SnapshotLoadResult> LoadCatalogSnapshots(const std::string& dir,
                                                 uint64_t version,
-                                                CatalogCache* mmap_cache =
-                                                    nullptr);
+                                                CatalogCache* mmap_cache);
 
 }  // namespace serve
 }  // namespace pathest

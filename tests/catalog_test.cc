@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "core/catalog.h"
+#include "core/catalog_cache.h"
 #include "core/serialize.h"
+#include "serve/snapshot_registry.h"
 #include "test_util.h"
 
 namespace pathest {
@@ -136,7 +138,7 @@ TEST_F(CatalogTest, SaveAllPersistsSerializableEntries) {
   std::filesystem::remove_all(dir);
 }
 
-TEST_F(CatalogTest, SaveAllBinaryLoadAllRoundTrip) {
+TEST_F(CatalogTest, SaveAllBinaryV2LoadAllRoundTrip) {
   StatisticsCatalog catalog = MakeCatalog();
   CatalogEntryConfig config;
   config.ordering = "sum-based";
@@ -149,7 +151,7 @@ TEST_F(CatalogTest, SaveAllBinaryLoadAllRoundTrip) {
       std::filesystem::temp_directory_path() / "pathest_catalog_bin_test";
   std::filesystem::create_directories(dir);
   ASSERT_TRUE(
-      catalog.SaveAll(dir.string(), nullptr, CatalogFormat::kBinary).ok());
+      catalog.SaveAll(dir.string(), nullptr, CatalogFormat::kBinaryV2).ok());
 
   StatisticsCatalog fresh = MakeCatalog();
   CatalogLoadReport report;
@@ -193,6 +195,48 @@ TEST_F(CatalogTest, LoadAllQuarantinesForeignLabelDictionary) {
   EXPECT_NE(report.failures[0].status.message().find("label dictionary"),
             std::string::npos);
   EXPECT_EQ(catalog.EstimatorNames(), std::vector<std::string>{});
+  std::filesystem::remove_all(dir);
+}
+
+TEST_F(CatalogTest, RetiredV1EntryIsQuarantinedByEveryCatalogLoad) {
+  // A v1 entry beside a healthy one: every directory-level loader must
+  // quarantine it with the typed retired-format error and keep serving
+  // the rest.
+  auto dir =
+      std::filesystem::temp_directory_path() / "pathest_catalog_retired_v1";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  StatisticsCatalog catalog = MakeCatalog();
+  CatalogEntryConfig config;
+  config.ordering = "sum-based";
+  config.num_buckets = 6;
+  ASSERT_TRUE(catalog.BuildEstimator("good", config).ok());
+  ASSERT_TRUE(catalog.SaveAll(dir.string()).ok());
+  std::filesystem::copy_file(testing_util::RetiredV1FixturePath(),
+                             dir / "old.stats");
+
+  StatisticsCatalog fresh = MakeCatalog();
+  CatalogLoadReport report;
+  ASSERT_TRUE(fresh.LoadAll(dir.string(), &report).ok());
+  EXPECT_EQ(report.loaded, std::vector<std::string>{"good"});
+  ASSERT_EQ(report.failures.size(), 1u);
+  EXPECT_TRUE(testing_util::IsRetiredV1Error(report.failures[0].status))
+      << report.failures[0].status.ToString();
+
+  auto verify = VerifyCatalogDir(dir.string());
+  ASSERT_TRUE(verify.ok());
+  EXPECT_EQ(verify->loaded, std::vector<std::string>{"good"});
+  ASSERT_EQ(verify->failures.size(), 1u);
+  EXPECT_TRUE(testing_util::IsRetiredV1Error(verify->failures[0].status));
+
+  CatalogCache cache;
+  auto served = serve::LoadCatalogSnapshots(dir.string(), 1, &cache);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served->report.loaded, std::vector<std::string>{"good"});
+  ASSERT_EQ(served->report.failures.size(), 1u);
+  EXPECT_TRUE(
+      testing_util::IsRetiredV1Error(served->report.failures[0].status));
+  EXPECT_EQ(served->snapshots.count("old"), 0u);
   std::filesystem::remove_all(dir);
 }
 

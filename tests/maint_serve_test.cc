@@ -25,15 +25,19 @@
 
 #include <gtest/gtest.h>
 
+#include "core/catalog.h"
+#include "core/catalog_cache.h"
 #include "core/serialize.h"
 #include "graph/graph_io.h"
 #include "maint/delta_journal.h"
 #include "maint/incremental.h"
+#include "maint/online_maintenance.h"
 #include "ordering/factory.h"
 #include "path/label_path.h"
 #include "path/selectivity.h"
 #include "serve/client.h"
 #include "serve/server.h"
+#include "serve/snapshot_registry.h"
 #include "test_util.h"
 #include "util/fault_injection.h"
 
@@ -80,9 +84,11 @@ class FlakyMockServer {
   }
 
   ~FlakyMockServer() {
+    // shutdown wakes the blocked accept; the fd is closed only after the
+    // thread that reads it has joined.
     ::shutdown(listener_.get(), SHUT_RDWR);
-    listener_.reset();
     thread_.join();
+    listener_.reset();
   }
 
   size_t connections() const { return served_.load(); }
@@ -219,7 +225,7 @@ class MaintServeTest : public ::testing::Test {
     PATHEST_CHECK(est.ok(), "estimator failed");
     PATHEST_CHECK(SavePathHistogram(*est, graph_,
                                     (catalog_ / "alpha.stats").string(),
-                                    CatalogFormat::kBinary)
+                                    CatalogFormat::kBinaryV2)
                       .ok(),
                   "save failed");
   }
@@ -263,7 +269,7 @@ class MaintServeTest : public ::testing::Test {
     PATHEST_CHECK(est.ok(), "oracle estimator failed");
     const std::string file = (root_ / "oracle.stats").string();
     PATHEST_CHECK(SavePathHistogram(*est, *patched, file,
-                                    CatalogFormat::kBinary)
+                                    CatalogFormat::kBinaryV2)
                       .ok(),
                   "oracle save failed");
     auto loaded = LoadPathHistogram(file);
@@ -301,6 +307,54 @@ TEST_F(MaintServeTest, UpdateWithoutMaintenanceIsFatal) {
   EXPECT_EQ(resp->rfind("err InvalidArgument fatal ", 0), 0u) << *resp;
   ASSERT_TRUE(client.Call("shutdown").ok());
   server.Wait();
+}
+
+TEST_F(MaintServeTest, RecoverAndRefreshKeepV2EntriesMapped) {
+  // Regression: maintenance re-persisted every entry in the retired v1
+  // layout, so one Recover silently turned a zero-copy v2 catalog into
+  // copied entries. After Recover, a journaled update and a Refresh, every
+  // entry must still be v2 and serve mapped.
+  maint::MaintenanceOptions options;
+  options.catalog_dir = catalog_.string();
+  options.graph_path = graph_path_;
+  maint::OnlineMaintenance maintenance(options);
+  maint::RecoveryReport recovery;
+  ASSERT_TRUE(maintenance.Recover(&recovery).ok());
+  const std::vector<maint::EdgeDelta> deltas = {
+      {true, 0, 3, *graph_.labels().Find("b")}};
+  ASSERT_TRUE(maintenance.JournalDeltas(deltas).ok());
+  auto outcome = maintenance.Refresh();
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_EQ(outcome->refreshed_entries, std::vector<std::string>{"alpha"});
+
+  auto paths = ListCatalogEntryPaths(catalog_.string());
+  ASSERT_TRUE(paths.ok());
+  ASSERT_EQ(paths->size(), 1u);
+  for (const std::string& path : *paths) {
+    auto format = SniffCatalogFormat(path);
+    ASSERT_TRUE(format.ok()) << format.status().ToString();
+    EXPECT_EQ(*format, CatalogFormat::kBinaryV2) << path;
+  }
+  CatalogCache cache;
+  auto served = LoadCatalogSnapshots(catalog_.string(), 1, &cache);
+  ASSERT_TRUE(served.ok());
+  EXPECT_TRUE(served->report.fully_healthy());
+  ASSERT_EQ(served->snapshots.size(), 1u);
+  const ServingSnapshot& alpha = *served->snapshots.at("alpha");
+  EXPECT_TRUE(alpha.is_mapped());
+
+  // The mapped entry serves the refreshed statistics.
+  const std::vector<std::string> probe = {"a", "a/b", "b/c", "a/b/c"};
+  RankScratch scratch;
+  scratch.Reserve(alpha.estimator().num_labels());
+  std::string response = "ok";
+  for (const std::string& text : probe) {
+    auto path = LabelPath::Parse(text, alpha.labels());
+    ASSERT_TRUE(path.ok());
+    response += ' ';
+    AppendEstimateValue(&response, alpha.estimator().Estimate(*path, scratch));
+  }
+  EXPECT_EQ(response, Oracle(deltas, probe));
 }
 
 TEST_F(MaintServeTest, UpdateAppliesAndServesTheIncrementalStatistics) {

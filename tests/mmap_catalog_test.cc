@@ -120,17 +120,28 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
   auto mapped = MappedCatalogEntry::Open(path, CatalogVerify::kChecksums);
   ASSERT_TRUE(mapped.ok()) << method << " k=" << k << ": "
                            << mapped.status().ToString();
+  // The same image as an owned buffer: the form text entries serve in.
+  std::string image;
+  ASSERT_TRUE(ReadFileToString(path, &image).ok());
+  auto buffered =
+      MappedCatalogEntry::FromBuffer(image, CatalogVerify::kChecksums);
+  ASSERT_TRUE(buffered.ok()) << buffered.status().ToString();
 
   const std::string canonical = method == "sum-card" ? "sum-based" : method;
   EXPECT_EQ((*mapped)->ordering_name(), canonical);
   EXPECT_EQ((*mapped)->estimator().ordering().name(), canonical);
   EXPECT_EQ((*mapped)->labels().names(), graph.labels().names());
   EXPECT_EQ((*mapped)->histogram_type(), HistogramType::kVOptimal);
+  EXPECT_TRUE((*mapped)->is_mapped());
   EXPECT_EQ((*mapped)->mapped_bytes(), fs::file_size(path));
   EXPECT_GT((*mapped)->resident_bytes(), 0u);
+  EXPECT_FALSE((*buffered)->is_mapped());
+  EXPECT_EQ((*buffered)->mapped_bytes(), 0u);
+  EXPECT_GT((*buffered)->resident_bytes(), image.size());
 
-  // Bit-identical to BOTH the original estimator and the copying loader,
-  // over the entire domain — the acceptance criterion of the mmap path.
+  // Bit-identical to the original estimator, the copying loader and the
+  // buffer entry, over the entire domain — the acceptance criterion of the
+  // mmap path.
   PathSpace space(graph.num_labels(), k);
   const Estimator& me = (*mapped)->estimator();
   RankScratch scratch;
@@ -140,6 +151,8 @@ TEST_P(MmapIdentityTest, MappedEstimatorIsBitIdenticalToCopyingLoader) {
     ASSERT_EQ(me.Estimate(p, scratch), want)
         << method << " k=" << k << " " << p.ToIdString();
     ASSERT_EQ(copied->estimator.Estimate(p), want)
+        << method << " k=" << k << " " << p.ToIdString();
+    ASSERT_EQ((*buffered)->estimator().Estimate(p, scratch), want)
         << method << " k=" << k << " " << p.ToIdString();
   });
 
@@ -315,18 +328,20 @@ TEST_F(VerifyTierTest, WellFormedButWrongServingRowFailsOnlyFullTier) {
       << full.status().ToString();
 }
 
-TEST_F(VerifyTierTest, V1FileIsRejectedNotMisread) {
-  const std::string v1 = (TestDir() / "v1_input.stats").string();
-  ASSERT_TRUE(
-      SavePathHistogram(*est_, graph_, v1, CatalogFormat::kBinary).ok());
+TEST_F(VerifyTierTest, RetiredV1FileIsATypedErrorAtEveryTier) {
+  const std::string v1 = testing_util::RetiredV1FixturePath();
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(v1, &bytes).ok());
   for (CatalogVerify tier :
        {CatalogVerify::kTrusted, CatalogVerify::kChecksums,
         CatalogVerify::kFull}) {
     auto entry = MappedCatalogEntry::Open(v1, tier);
-    ASSERT_FALSE(entry.ok());
-    EXPECT_EQ(entry.status().code(), StatusCode::kIOError);
+    EXPECT_TRUE(testing_util::IsRetiredV1Error(entry.status()))
+        << CatalogVerifyName(tier) << ": " << entry.status().ToString();
+    auto buffered = MappedCatalogEntry::FromBuffer(bytes, tier);
+    EXPECT_TRUE(testing_util::IsRetiredV1Error(buffered.status()))
+        << CatalogVerifyName(tier) << ": " << buffered.status().ToString();
   }
-  fs::remove(v1);
 }
 
 }  // namespace

@@ -5,11 +5,13 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "core/mapped_catalog.h"
 #include "core/serialize.h"
 #include "ordering/factory.h"
 #include "path/selectivity.h"
@@ -192,14 +194,14 @@ TEST_F(SerializeTest, ForgedHugeCountsInTextHeaderAreErrorsNotAllocations) {
 }
 
 // Binary round-trips across the full serializable surface: every factory
-// ordering, every analyzed path length. The chain is the interchange
-// story end to end — build, save TEXT, load, save BINARY, load — and the
-// final estimator must be bit-identical to the original over the whole
-// domain.
+// ordering, every analyzed path length. The first chain is the interchange
+// story end to end — build, save TEXT, load, encode v2, load by both v2
+// consumers (the serving path of a text entry) — and the final estimators
+// must be bit-identical to the original over the whole domain.
 class BinaryRoundTripTest
     : public ::testing::TestWithParam<std::tuple<std::string, size_t>> {};
 
-TEST_P(BinaryRoundTripTest, TextThenBinaryPreservesEveryEstimateBitExact) {
+TEST_P(BinaryRoundTripTest, TextThenV2PreservesEveryEstimateBitExact) {
   const auto& [method, k] = GetParam();
   Graph graph = SmallGraph();
   auto map = ComputeSelectivities(graph, k);
@@ -221,17 +223,21 @@ TEST_P(BinaryRoundTripTest, TextThenBinaryPreservesEveryEstimateBitExact) {
   std::istringstream in(text.str());
   auto from_text = ReadPathHistogram(&in);
   ASSERT_TRUE(from_text.ok()) << from_text.status().ToString();
-  // → binary → load
+  // → v2 → load (copying at kFull, and a buffer entry at kChecksums)
   std::string binary;
-  ASSERT_TRUE(WritePathHistogramBinary(from_text->estimator,
-                                       from_text->labels,
-                                       from_text->label_cardinalities,
-                                       &binary)
+  ASSERT_TRUE(WritePathHistogramBinaryV2(from_text->estimator,
+                                         from_text->labels,
+                                         from_text->label_cardinalities,
+                                         &binary)
                   .ok());
-  ASSERT_TRUE(LooksLikeBinaryCatalog(binary));
-  auto from_binary = ReadPathHistogramBinary(binary);
+  auto from_binary = ReadPathHistogramBinaryV2(binary);
   ASSERT_TRUE(from_binary.ok()) << method << " k=" << k << ": "
                                 << from_binary.status().ToString();
+  auto served =
+      MappedCatalogEntry::FromBuffer(binary, CatalogVerify::kChecksums);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  EXPECT_FALSE((*served)->is_mapped());
+  RankScratch scratch;
 
   // "sum-card" is an alias: SumBasedOrdering canonicalizes the paper's
   // sum+cardinality combination to "sum-based" at construction, so that
@@ -245,6 +251,9 @@ TEST_P(BinaryRoundTripTest, TextThenBinaryPreservesEveryEstimateBitExact) {
     // Bit-identical, not approximately equal: the binary format stores
     // doubles as IEEE-754 bit patterns.
     EXPECT_EQ(from_binary->estimator.Estimate(p), original->Estimate(p))
+        << method << " k=" << k << " " << p.ToIdString();
+    EXPECT_EQ((*served)->estimator().Estimate(p, scratch),
+              original->Estimate(p))
         << method << " k=" << k << " " << p.ToIdString();
   });
 }
@@ -268,8 +277,7 @@ TEST_P(BinaryRoundTripTest, V2RoundTripPreservesEveryEstimateBitExact) {
   ASSERT_TRUE(WritePathHistogramBinaryV2(*original, graph.labels(), cards,
                                          &v2)
                   .ok());
-  ASSERT_TRUE(BytesAreBinaryV2(v2));
-  ASSERT_TRUE(LooksLikeBinaryCatalog(v2));
+  ASSERT_EQ(std::memcmp(v2.data(), binfmt::kMagicV2, binfmt::kMagicBytes), 0);
   // The full-verify copying reader (also what the format-sniffing
   // dispatchers route v2 bytes to).
   auto loaded = ReadPathHistogramBinaryV2(v2);
@@ -370,59 +378,13 @@ INSTANTIATE_TEST_SUITE_P(
       return name + "_k" + std::to_string(std::get<1>(info.param));
     });
 
-// The committed golden file pins binary catalog v1: if an edit to the
+// The committed golden file pins binary catalog v2: if an edit to the
 // writer changes a single byte of the layout, this test fails — version
-// bumps must be deliberate (new kVersion), never accidental drift.
+// bumps must be deliberate (new kVersionV2), never accidental drift. The
+// layout carries the serving rows and the stage-3 index, so drift here
+// silently breaks mapped catalogs.
 //
 // Regenerate deliberately with: PATHEST_REGEN_GOLDEN=1 ./serialize_test
-TEST(GoldenBinaryCatalog, V1LayoutIsPinned) {
-  const std::string path =
-      std::string(PATHEST_SOURCE_DIR) + "/tests/golden/catalog_v1.stats";
-  // The golden is deterministic: SmallGraph, sum-based, k=3, beta=6 (the
-  // build and both serializers are bit-reproducible).
-  Graph graph = SmallGraph();
-  auto map = ComputeSelectivities(graph, 3);
-  ASSERT_TRUE(map.ok());
-  auto ordering = MakeOrdering("sum-based", graph, 3);
-  ASSERT_TRUE(ordering.ok());
-  auto est = PathHistogram::Build(*map, std::move(*ordering),
-                                  HistogramType::kVOptimal, 6);
-  ASSERT_TRUE(est.ok());
-  std::vector<uint64_t> cards;
-  for (LabelId l = 0; l < graph.num_labels(); ++l) {
-    cards.push_back(graph.LabelCardinality(l));
-  }
-  std::string current;
-  ASSERT_TRUE(
-      WritePathHistogramBinary(*est, graph.labels(), cards, &current).ok());
-
-  if (std::getenv("PATHEST_REGEN_GOLDEN") != nullptr) {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    ASSERT_TRUE(out.is_open()) << path;
-    out.write(current.data(), static_cast<std::streamsize>(current.size()));
-    ASSERT_TRUE(out.good());
-    GTEST_SKIP() << "regenerated " << path;
-  }
-
-  std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.is_open())
-      << path << " missing — run with PATHEST_REGEN_GOLDEN=1 to create";
-  std::string golden((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-  // Byte-identical both ways: today's writer reproduces the golden, and
-  // the golden still loads to a working estimator.
-  EXPECT_EQ(current, golden) << "binary catalog layout drifted from v1 — "
-                                "if intentional, bump binfmt::kVersion";
-  auto loaded = ReadPathHistogramBinary(golden);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  PathSpace space(graph.num_labels(), 3);
-  space.ForEach([&](const LabelPath& p) {
-    EXPECT_EQ(loaded->estimator.Estimate(p), est->Estimate(p));
-  });
-}
-
-// Same pin for v2 — its layout additionally carries the serving rows and
-// the stage-3 index, so drift here silently breaks mapped catalogs.
 TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
   const std::string path =
       std::string(PATHEST_SOURCE_DIR) + "/tests/golden/catalog_v2.stats";
@@ -466,7 +428,38 @@ TEST(GoldenBinaryCatalog, V2LayoutIsPinned) {
   });
 }
 
-TEST(SniffBinaryV2, DistinguishesFormatsWithoutSlurping) {
+// The retired v1 format is refused by every reader with one typed error
+// that names the upgrade path — never parsed, and never taken for text.
+TEST(RetiredV1Catalog, V1MagicIsATypedErrorEverywhere) {
+  const std::string path = testing_util::RetiredV1FixturePath();
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << path;
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  ASSERT_GT(bytes.size(), binfmt::kHeaderBytes);
+
+  auto sniffed = SniffCatalogFormat(path);
+  EXPECT_TRUE(testing_util::IsRetiredV1Error(sniffed.status()))
+      << sniffed.status().ToString();
+  auto loaded = LoadPathHistogram(path);
+  EXPECT_TRUE(testing_util::IsRetiredV1Error(loaded.status()))
+      << loaded.status().ToString();
+  std::istringstream stream(bytes);
+  auto streamed = ReadPathHistogram(&stream);
+  EXPECT_TRUE(testing_util::IsRetiredV1Error(streamed.status()))
+      << streamed.status().ToString();
+  auto as_v2 = ReadPathHistogramBinaryV2(bytes);
+  EXPECT_TRUE(testing_util::IsRetiredV1Error(as_v2.status()))
+      << as_v2.status().ToString();
+  // The format name is retired on the write side too.
+  EXPECT_EQ(ParseCatalogFormat("binary").status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_NE(ParseCatalogFormat("binary").status().message().find(
+                "binary-v2"),
+            std::string::npos);
+}
+
+TEST(SniffCatalogFormat, DistinguishesFormatsWithoutSlurping) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "pathest_sniff_test";
   fs::create_directories(dir);
@@ -480,30 +473,26 @@ TEST(SniffBinaryV2, DistinguishesFormatsWithoutSlurping) {
   ASSERT_TRUE(est.ok());
 
   const std::string text = (dir / "a.stats").string();
-  const std::string v1 = (dir / "b.stats").string();
   const std::string v2 = (dir / "c.stats").string();
   ASSERT_TRUE(
       SavePathHistogram(*est, graph, text, CatalogFormat::kText).ok());
   ASSERT_TRUE(
-      SavePathHistogram(*est, graph, v1, CatalogFormat::kBinary).ok());
-  ASSERT_TRUE(
       SavePathHistogram(*est, graph, v2, CatalogFormat::kBinaryV2).ok());
   auto sniff = [](const std::string& p) {
-    auto r = SniffFileIsBinaryV2(p);
+    auto r = SniffCatalogFormat(p);
     PATHEST_CHECK(r.ok(), "sniff failed");
     return *r;
   };
-  EXPECT_FALSE(sniff(text));
-  EXPECT_FALSE(sniff(v1));
-  EXPECT_TRUE(sniff(v2));
-  // Short file: not an error, just not v2.
+  EXPECT_EQ(sniff(text), CatalogFormat::kText);
+  EXPECT_EQ(sniff(v2), CatalogFormat::kBinaryV2);
+  // Short file: not an error, just text (whose parser then rejects it).
   const std::string stub = (dir / "short").string();
   { std::ofstream(stub) << "ab"; }
-  EXPECT_FALSE(sniff(stub));
-  EXPECT_EQ(SniffFileIsBinaryV2((dir / "missing").string()).status().code(),
+  EXPECT_EQ(sniff(stub), CatalogFormat::kText);
+  EXPECT_EQ(SniffCatalogFormat((dir / "missing").string()).status().code(),
             StatusCode::kNotFound);
-  // Every format loads through the sniffing dispatcher.
-  for (const std::string& p : {text, v1, v2}) {
+  // Both formats load through the sniffing dispatcher.
+  for (const std::string& p : {text, v2}) {
     auto loaded = LoadPathHistogram(p);
     ASSERT_TRUE(loaded.ok()) << p << ": " << loaded.status().ToString();
     EXPECT_EQ(loaded->estimator.ordering().name(), "sum-based");

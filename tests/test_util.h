@@ -53,6 +53,23 @@ inline Graph SmallGraph() {
   return std::move(graph).ValueOrDie();
 }
 
+// The committed binary catalog v1 image (the format is retired): the
+// fixture of every "v1 magic is a typed error" test.
+inline std::string RetiredV1FixturePath() {
+  return std::string(PATHEST_SOURCE_DIR) + "/tests/golden/catalog_v1.stats";
+}
+
+// True when `status` is the typed refusal of a retired v1 catalog: an
+// IOError naming the format and the upgrade command (and NOT the text
+// parser's complaint, which would mean v1 bytes were parsed as text).
+inline bool IsRetiredV1Error(const Status& status) {
+  const std::string& m = status.message();
+  return status.code() == StatusCode::kIOError &&
+         m.find("retired binary catalog v1") != std::string::npos &&
+         m.find("catalog convert") != std::string::npos &&
+         m.find("--format binary-v2") != std::string::npos;
+}
+
 }  // namespace testing_util
 }  // namespace pathest
 
