@@ -2,24 +2,21 @@
 // evaluator and of histogram construction, the two build-time costs of the
 // pipeline.
 //
-// The selectivity rows take {k, threads, kernel, strategy} (kernel: 0 =
-// auto, 1 = sparse, 2 = dense; strategy: 0 = fused, 1 = per-label). The
-// threads=1/kernel=sparse/strategy=per-label rows are the scalar baseline;
-// every other row's map is asserted bit-identical to it.
+// The selectivity rows take {k, threads, kernel} (kernel: 0 = auto,
+// 1 = sparse, 2 = dense). The threads=1/kernel=sparse rows are the scalar
+// baseline; every other row's map is asserted bit-identical to it.
 //
 // --json[=path] switches to a machine-readable sweep instead of the
 // google-benchmark console: it times ComputeSelectivities for every
-// (dataset, threads, strategy, kernel) cell — best wall time of
-// PATHEST_REPS runs — and writes one JSON array to `path` (default
-// BENCH_selectivity.json), one object per cell: {"dataset", "k",
-// "threads", "strategy", "kernel", "build_ms"}. Cross-strategy /
-// cross-kernel / cross-thread bit-identity of the map is asserted inside
+// (dataset, threads, kernel) cell — best wall time of PATHEST_REPS runs —
+// and writes one JSON array to `path` (default BENCH_selectivity.json),
+// one object per cell: {"dataset", "k", "threads", "kernel", "build_ms"}.
+// Cross-kernel / cross-thread bit-identity of the map is asserted inside
 // the sweep (every cell against the first cell's values). The er-dense
 // dataset is an Erdős–Rényi configuration dense enough that the dense
 // bitmap kernel should win by an integer factor; the printed summary
-// reports the fused-vs-per-label and dense-vs-sparse speedups and how
-// close auto tracks the better kernel. Scale knobs: PATHEST_SCALE,
-// PATHEST_REPS, PATHEST_K.
+// reports the dense-vs-sparse speedup and how close auto tracks the
+// better kernel. Scale knobs: PATHEST_SCALE, PATHEST_REPS, PATHEST_K.
 
 #include <benchmark/benchmark.h>
 
@@ -52,29 +49,25 @@ const Graph& BenchGraph() {
   return *graph;
 }
 
-// Args: {k, num_threads, kernel, strategy}. The threads=1/kernel=sparse/
-// strategy=per-label rows are the scalar baseline; the parallel-engine
-// speedup is threads=N vs threads=1 at equal k, the kernel speedup is
-// kernel=dense/auto vs kernel=sparse at threads=1, and the fusion speedup
-// is strategy=fused vs strategy=per-label at equal everything else. Every
-// row's map is asserted bit-identical to the baseline.
+// Args: {k, num_threads, kernel}. The threads=1/kernel=sparse rows are the
+// scalar baseline; the parallel-engine speedup is threads=N vs threads=1
+// at equal k, and the kernel speedup is kernel=dense/auto vs
+// kernel=sparse at threads=1. Every row's map is asserted bit-identical
+// to the baseline.
 void BM_ComputeSelectivities(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const size_t threads = static_cast<size_t>(state.range(1));
   const PairKernel kernel = static_cast<PairKernel>(state.range(2));
-  const ExtendStrategy strategy = static_cast<ExtendStrategy>(state.range(3));
   SelectivityOptions options;
   options.num_threads = threads;
   options.kernel = kernel;
-  options.strategy = strategy;
   static std::map<size_t, std::vector<uint64_t>>* baseline_maps =
       new std::map<size_t, std::vector<uint64_t>>();
   for (auto _ : state) {
     auto map = ComputeSelectivities(BenchGraph(), k, options);
     PATHEST_CHECK(map.ok(), "selectivity failed");
     benchmark::DoNotOptimize(map->Total());
-    if (threads == 1 && kernel == PairKernel::kSparse &&
-        strategy == ExtendStrategy::kPerLabel) {
+    if (threads == 1 && kernel == PairKernel::kSparse) {
       (*baseline_maps)[k] = map->values();
     } else if (auto it = baseline_maps->find(k); it != baseline_maps->end()) {
       PATHEST_CHECK(it->second == map->values(),
@@ -85,21 +78,19 @@ void BM_ComputeSelectivities(benchmark::State& state) {
                           static_cast<int64_t>(PathSpace(6, k).size()));
 }
 BENCHMARK(BM_ComputeSelectivities)
-    ->ArgNames({"k", "threads", "kernel", "strategy"})
-    ->Args({2, 1, 1, 1})
-    ->Args({3, 1, 1, 1})
-    ->Args({4, 1, 1, 1})  // per-label sparse baselines first: later rows
-    ->Args({4, 1, 2, 1})  // check against them
-    ->Args({4, 1, 0, 1})
-    ->Args({4, 1, 0, 0})
-    ->Args({4, 2, 0, 0})
-    ->Args({4, 4, 0, 0})
-    ->Args({5, 1, 1, 1})
-    ->Args({5, 1, 2, 1})
-    ->Args({5, 1, 0, 1})
-    ->Args({5, 1, 0, 0})
-    ->Args({5, 2, 0, 0})
-    ->Args({5, 4, 0, 0})
+    ->ArgNames({"k", "threads", "kernel"})
+    ->Args({2, 1, 1})
+    ->Args({3, 1, 1})
+    ->Args({4, 1, 1})  // sparse serial baselines first: later rows check
+    ->Args({4, 1, 2})  // against them
+    ->Args({4, 1, 0})
+    ->Args({4, 2, 0})
+    ->Args({4, 4, 0})
+    ->Args({5, 1, 1})
+    ->Args({5, 1, 2})
+    ->Args({5, 1, 0})
+    ->Args({5, 2, 0})
+    ->Args({5, 4, 0})
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
@@ -173,7 +164,6 @@ struct JsonRow {
   std::string dataset;
   size_t k;
   size_t threads;
-  ExtendStrategy strategy;
   PairKernel kernel;
   double build_ms;
 };
@@ -198,8 +188,6 @@ int RunJsonMode(const std::string& out_path) {
 
   constexpr PairKernel kKernels[] = {PairKernel::kSparse, PairKernel::kDense,
                                      PairKernel::kAuto};
-  constexpr ExtendStrategy kStrategies[] = {ExtendStrategy::kPerLabel,
-                                            ExtendStrategy::kFused};
   std::vector<JsonRow> rows;
   for (const Config& config : configs) {
     std::printf("%s: |V|=%zu |E|=%zu |L|=%zu k=%zu\n", config.name.c_str(),
@@ -215,50 +203,41 @@ int RunJsonMode(const std::string& out_path) {
 
     std::vector<uint64_t> baseline_values;
     for (size_t threads : thread_counts) {
-      // [strategy][kernel], indexed by the enum values.
-      double ms_cell[2][3] = {{0, 0, 0}, {0, 0, 0}};
-      for (ExtendStrategy strategy : kStrategies) {
-        for (PairKernel kernel : kKernels) {
-          SelectivityOptions options;
-          options.num_threads = threads;
-          options.kernel = kernel;
-          options.strategy = strategy;
-          double best_ms = 0.0;
-          for (size_t rep = 0; rep < reps; ++rep) {
-            Timer timer;
-            auto map = ComputeSelectivities(config.graph, config.k, options);
-            const double ms = timer.ElapsedMillis();
-            bench::DieIf(map.status(), "selectivity computation");
-            if (rep == 0 || ms < best_ms) best_ms = ms;
-            // Cross-strategy / cross-kernel / cross-thread identity: every
-            // cell's map must equal the first cell's, bit for bit.
-            if (baseline_values.empty()) {
-              baseline_values = map->values();
-            } else {
-              PATHEST_CHECK(map->values() == baseline_values,
-                            "map differs across strategies/kernels/threads");
-            }
+      // Indexed by the PairKernel enum value.
+      double ms_cell[3] = {0, 0, 0};
+      for (PairKernel kernel : kKernels) {
+        SelectivityOptions options;
+        options.num_threads = threads;
+        options.kernel = kernel;
+        double best_ms = 0.0;
+        for (size_t rep = 0; rep < reps; ++rep) {
+          Timer timer;
+          auto map = ComputeSelectivities(config.graph, config.k, options);
+          const double ms = timer.ElapsedMillis();
+          bench::DieIf(map.status(), "selectivity computation");
+          if (rep == 0 || ms < best_ms) best_ms = ms;
+          // Cross-kernel / cross-thread identity: every cell's map must
+          // equal the first cell's, bit for bit.
+          if (baseline_values.empty()) {
+            baseline_values = map->values();
+          } else {
+            PATHEST_CHECK(map->values() == baseline_values,
+                          "map differs across kernels/threads");
           }
-          rows.push_back(
-              {config.name, config.k, threads, strategy, kernel, best_ms});
-          ms_cell[static_cast<size_t>(strategy)]
-                 [static_cast<size_t>(kernel)] = best_ms;
-          std::printf("  threads=%zu strategy=%-9s kernel=%-6s build_ms=%.3f\n",
-                      threads, ExtendStrategyName(strategy),
-                      PairKernelName(kernel), best_ms);
         }
+        rows.push_back({config.name, config.k, threads, kernel, best_ms});
+        ms_cell[static_cast<size_t>(kernel)] = best_ms;
+        std::printf("  threads=%zu kernel=%-6s build_ms=%.3f\n", threads,
+                    PairKernelName(kernel), best_ms);
       }
-      const double per_label_auto = ms_cell[1][0];
-      const double fused_auto = ms_cell[0][0];
-      const double sparse_ms = ms_cell[1][1];
-      const double dense_ms = ms_cell[1][2];
+      const double auto_ms = ms_cell[0];
+      const double sparse_ms = ms_cell[1];
+      const double dense_ms = ms_cell[2];
       const double best = std::min(sparse_ms, dense_ms);
-      if (fused_auto > 0 && dense_ms > 0 && best > 0) {
+      if (dense_ms > 0 && best > 0) {
         std::printf(
-            "  threads=%zu summary: fused %.2fx vs per-label (auto kernel), "
-            "dense %.2fx vs sparse (per-label), auto/best %.2f\n",
-            threads, per_label_auto / fused_auto, sparse_ms / dense_ms,
-            per_label_auto / best);
+            "  threads=%zu summary: dense %.2fx vs sparse, auto/best %.2f\n",
+            threads, sparse_ms / dense_ms, auto_ms / best);
       }
     }
   }
@@ -273,10 +252,8 @@ int RunJsonMode(const std::string& out_path) {
     const JsonRow& r = rows[i];
     std::fprintf(out,
                  "  {\"dataset\": \"%s\", \"k\": %zu, \"threads\": %zu, "
-                 "\"strategy\": \"%s\", \"kernel\": \"%s\", "
-                 "\"build_ms\": %.3f}%s\n",
-                 r.dataset.c_str(), r.k, r.threads,
-                 ExtendStrategyName(r.strategy), PairKernelName(r.kernel),
+                 "\"kernel\": \"%s\", \"build_ms\": %.3f}%s\n",
+                 r.dataset.c_str(), r.k, r.threads, PairKernelName(r.kernel),
                  r.build_ms, i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "]\n");

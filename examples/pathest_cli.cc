@@ -4,8 +4,8 @@
 // integrating the library.
 //
 // Usage:
-//   pathest_cli [--threads N] [--kernel auto|sparse|dense]
-//               [--strategy fused|per-label] [--graph G] <command> ...
+//   pathest_cli [--threads N] [--kernel auto|sparse|dense] [--graph G]
+//               <command> ...
 //   pathest_cli generate <dataset> <out.graph> [scale] [seed]
 //   pathest_cli stats <graph-file>
 //   pathest_cli analyze <graph-file> <k> <ordering> <beta> <out.stats>
@@ -33,13 +33,13 @@
 // --threads N controls the parallel selectivity engine (the dominant cost
 // of analyze/accuracy): N worker threads, 0 = one per hardware core (the
 // default). --kernel forces the pair-set extension kernel (default: auto,
-// a per-group cost-based choice); --strategy picks the evaluator
-// decomposition (default: fused — the all-labels kernel with prefix
-// tasks). Results are bit-identical for every thread count, kernel, and
-// strategy; the flags only change speed. All three are validated up
-// front (a malformed value is an error, not a silent fallback), and the
-// commands that build ground truth echo the RESOLVED configuration —
-// including the post-clamp worker count — in their build report line.
+// a per-group cost-based choice). Results are bit-identical for every
+// thread count and kernel; the flags only change speed. Both are
+// validated up front (a malformed value is an error, not a silent
+// fallback), as are the <k> and <beta> positionals of analyze/accuracy,
+// and the commands that build ground truth echo the RESOLVED
+// configuration — including the post-clamp worker count — in their build
+// report line.
 //
 // --format text|binary-v2 picks the on-disk catalog format analyze writes
 // (default text; binary-v2 is the checksummed, page-aligned, mmap-servable
@@ -118,10 +118,6 @@ size_t g_num_threads = 0;
 // Extension-kernel override; set by --kernel (auto = per-group choice).
 PairKernel g_kernel = PairKernel::kAuto;
 
-// Evaluator strategy; set by --strategy (fused = all-labels kernel with
-// depth-2 prefix tasks, per-label = the baseline engine).
-ExtendStrategy g_strategy = ExtendStrategy::kFused;
-
 // On-disk catalog format for analyze's save and catalog convert's target;
 // set by --format. Readers sniff, so there is no corresponding load flag.
 CatalogFormat g_format = CatalogFormat::kText;
@@ -158,7 +154,6 @@ SelectivityOptions CliSelectivityOptions() {
   SelectivityOptions options;
   options.num_threads = g_num_threads;
   options.kernel = g_kernel;
-  options.strategy = g_strategy;
   return options;
 }
 
@@ -169,10 +164,24 @@ void PrintBuildConfig(const Graph& graph, size_t k) {
   SelectivityOptions options = CliSelectivityOptions();
   std::printf(
       "selectivity build: threads=%zu (requested %zu), kernel=%s, "
-      "strategy=%s, tasks=%zu\n",
+      "tasks=%zu\n",
       ResolvedNumThreads(options, graph.num_labels(), k), g_num_threads,
-      PairKernelName(g_kernel), ExtendStrategyName(g_strategy),
-      SelectivityTaskCount(graph.num_labels(), k, g_strategy));
+      PairKernelName(g_kernel), SelectivityTaskCount(graph.num_labels(), k));
+}
+
+// Parses the <k> and <beta> positionals of analyze/accuracy strictly, the
+// way --threads is: an empty, signed or non-numeric value (strtoull read
+// "4x" as 4 and "-1" as 2^64-1) is an error naming the argument.
+Status ParseDepthAndBudget(const std::string& k_text,
+                           const std::string& beta_text, size_t* k,
+                           size_t* beta) {
+  auto parsed_k = serve::ParseU64Option("k", k_text);
+  if (!parsed_k.ok()) return parsed_k.status();
+  auto parsed_beta = serve::ParseU64Option("beta", beta_text);
+  if (!parsed_beta.ok()) return parsed_beta.status();
+  *k = *parsed_k;
+  *beta = *parsed_beta;
+  return Status::OK();
 }
 
 int Fail(const Status& status) {
@@ -184,8 +193,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  pathest_cli [--threads N] [--kernel K] [--strategy S] <command> "
-      "...\n"
+      "  pathest_cli [--threads N] [--kernel K] <command> ...\n"
       "  pathest_cli generate <dataset> <out.graph> [scale] [seed]\n"
       "  pathest_cli stats <graph-file>\n"
       "  pathest_cli analyze <graph-file> <k> <ordering> <beta> <out.stats>\n"
@@ -231,8 +239,6 @@ int Usage() {
       "cores, default)\n"
       "--kernel K: pair-set extension kernel, auto|sparse|dense "
       "(auto = per-group cost-based choice, default)\n"
-      "--strategy S: evaluator decomposition, fused|per-label "
-      "(fused = all-labels kernel + prefix tasks, default)\n"
       "--format F: catalog format analyze writes / convert targets, "
       "text|binary-v2 (text default; binary-v2 = checksummed, "
       "page-aligned, mmap-servable; readers sniff; binary v1 is retired)\n");
@@ -267,10 +273,12 @@ int CmdStats(const std::vector<std::string>& args) {
 
 int CmdAnalyze(const std::vector<std::string>& args) {
   if (args.size() != 5) return Usage();
+  size_t k = 0;
+  size_t beta = 0;
+  const Status parsed = ParseDepthAndBudget(args[1], args[3], &k, &beta);
+  if (!parsed.ok()) return Fail(parsed);
   auto graph = LoadCliGraph(args[0]);
   if (!graph.ok()) return Fail(graph.status());
-  size_t k = std::strtoull(args[1].c_str(), nullptr, 10);
-  size_t beta = std::strtoull(args[3].c_str(), nullptr, 10);
   PrintBuildConfig(*graph, k);
   auto truth = ComputeSelectivities(*graph, k, CliSelectivityOptions());
   if (!truth.ok()) return Fail(truth.status());
@@ -626,10 +634,12 @@ int CmdCall(const std::vector<std::string>& args) {
 
 int CmdAccuracy(const std::vector<std::string>& args) {
   if (args.size() != 4) return Usage();
+  size_t k = 0;
+  size_t beta = 0;
+  const Status parsed = ParseDepthAndBudget(args[1], args[3], &k, &beta);
+  if (!parsed.ok()) return Fail(parsed);
   auto graph = LoadCliGraph(args[0]);
   if (!graph.ok()) return Fail(graph.status());
-  size_t k = std::strtoull(args[1].c_str(), nullptr, 10);
-  size_t beta = std::strtoull(args[3].c_str(), nullptr, 10);
   PrintBuildConfig(*graph, k);
   auto truth = ComputeSelectivities(*graph, k, CliSelectivityOptions());
   if (!truth.ok()) return Fail(truth.status());
@@ -696,12 +706,10 @@ int main(int argc, char** argv) {
   std::vector<std::string> rest;
   bool threads_seen = false;
   bool kernel_seen = false;
-  bool strategy_seen = false;
   bool graph_seen = false;
   bool format_seen = false;
   std::string threads_text;
   std::string kernel_name;
-  std::string strategy_name;
   std::string graph_spec;
   std::string format_name;
   for (size_t i = 0; i < all.size(); ++i) {
@@ -723,12 +731,6 @@ int main(int argc, char** argv) {
     } else if (all[i].rfind("--kernel=", 0) == 0) {
       kernel_seen = true;
       kernel_name = all[i].substr(9);
-    } else if (all[i] == "--strategy" && i + 1 < all.size()) {
-      strategy_seen = true;
-      strategy_name = all[++i];
-    } else if (all[i].rfind("--strategy=", 0) == 0) {
-      strategy_seen = true;
-      strategy_name = all[i].substr(11);
     } else if (all[i] == "--format" && i + 1 < all.size()) {
       format_seen = true;
       format_name = all[++i];
@@ -753,11 +755,6 @@ int main(int argc, char** argv) {
     auto kernel = ParsePairKernel(kernel_name);
     if (!kernel.ok()) return Fail(kernel.status());
     g_kernel = *kernel;
-  }
-  if (strategy_seen) {
-    auto strategy = ParseExtendStrategy(strategy_name);
-    if (!strategy.ok()) return Fail(strategy.status());
-    g_strategy = *strategy;
   }
   if (format_seen) {
     auto format = ParseCatalogFormat(format_name);
@@ -786,11 +783,10 @@ int main(int argc, char** argv) {
   // The engine flags only matter to commands that compute ground truth
   // (--threads also drives the ingest of a loaded graph); flag a no-op
   // combination instead of ignoring it silently.
-  if ((kernel_seen || strategy_seen) && cmd != "analyze" &&
-      cmd != "accuracy") {
+  if (kernel_seen && cmd != "analyze" && cmd != "accuracy") {
     std::fprintf(stderr,
-                 "note: --kernel/--strategy have no effect on '%s' (they "
-                 "configure the selectivity build of analyze/accuracy)\n",
+                 "note: --kernel has no effect on '%s' (it configures the "
+                 "selectivity build of analyze/accuracy)\n",
                  cmd.c_str());
   } else if (threads_seen && !takes_graph) {
     std::fprintf(stderr,

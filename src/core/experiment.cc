@@ -66,7 +66,6 @@ Result<SelectivityBuildResult> MeasureSelectivityBuild(
   return SelectivityBuildResult{k,
                                 num_threads,
                                 options.kernel,
-                                options.strategy,
                                 wall_ms,
                                 std::move(per_label_ms),
                                 std::move(*map)};
@@ -119,8 +118,7 @@ ReportTable SelectivityBuildReport(const Graph& graph,
   }
   table.AddRow({"total(wall, " + std::to_string(result.num_threads) +
                     " thread" + (result.num_threads == 1 ? "" : "s") + ", " +
-                    PairKernelName(result.kernel) + " kernel, " +
-                    ExtendStrategyName(result.strategy) + " strategy)",
+                    PairKernelName(result.kernel) + " kernel)",
                 std::to_string(graph.num_edges()),
                 FormatDouble(result.wall_ms, 4), "100"});
   return table;

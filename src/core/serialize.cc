@@ -549,6 +549,13 @@ Result<LoadedPathHistogram> ReadPathHistogramText(const std::string& content) {
     }
   }
 
+  // A forged (|L|, k) whose |L_k| overflows u64 is a corrupt entry, not a
+  // crash: reject it before any ordering sizes a PathSpace from it.
+  if (const Result<uint64_t> domain = PathSpaceSize(num_labels, k);
+      !domain.ok()) {
+    return Status::IOError(domain.status().message());
+  }
+
   PATHEST_RETURN_NOT_OK(expect_key("cardinalities"));
   std::vector<uint64_t> cards;
   cards.reserve(num_labels);
@@ -860,23 +867,18 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
             " needs " + std::to_string(hl.payload_bytes));
   }
   {
-    // domain_size must be exactly |L_k| for the declared (|L|, k) — checked
-    // with 128-bit accumulation instead of PathSpace (whose checked
-    // arithmetic aborts on forged shapes).
-    unsigned __int128 total = 0, pw = 1;
-    for (uint64_t i = 1; i <= view.k; ++i) {
-      pw *= num_labels;
-      total += pw;
-      if (total > ~0ULL) {
-        return SectionError(kSectionHistogram, "domain size overflows u64");
-      }
+    // domain_size must be exactly |L_k| for the declared (|L|, k) —
+    // checked without aborting on forged shapes (PathSpaceSize, not
+    // PathSpace).
+    const Result<uint64_t> total = PathSpaceSize(num_labels, view.k);
+    if (!total.ok()) {
+      return SectionError(kSectionHistogram, total.status().message());
     }
-    if (static_cast<uint64_t>(total) != view.domain_size) {
-      return SectionError(
-          kSectionHistogram,
-          "domain size " + std::to_string(view.domain_size) +
-              " does not match |L_k| = " +
-              std::to_string(static_cast<uint64_t>(total)));
+    if (*total != view.domain_size) {
+      return SectionError(kSectionHistogram,
+                          "domain size " + std::to_string(view.domain_size) +
+                              " does not match |L_k| = " +
+                              std::to_string(*total));
     }
   }
   view.begin = RowSpan<uint64_t>(payload, hl.begin_off, view.beta);

@@ -192,11 +192,7 @@ Result<SelectivityMap> IncrementalSelectivities(
   // Per-root task lists: written only by the root's own Phase A worker.
   std::vector<std::vector<size_t>> root_tasks(num_labels);
 
-  const size_t requested = options.num_threads == 0
-                               ? ThreadPool::DefaultThreads()
-                               : options.num_threads;
-  const size_t num_threads = std::min(
-      requested, SelectivityTaskCount(num_labels, k, ExtendStrategy::kFused));
+  const size_t num_threads = ResolvedNumThreads(options, num_labels, k);
 
   std::unique_ptr<ThreadPool> pool;
   std::vector<EvalContext> contexts;

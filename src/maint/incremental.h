@@ -1,10 +1,10 @@
 // pathest: incremental statistics rebuild — re-evaluate ONLY the
 // selectivity-map slices an edge delta can have changed.
 //
-// The full build (path/selectivity.h, fused strategy) decomposes into a
-// per-root pre-pass plus |L|² depth-2 prefix tasks (root, l₂), each
-// writing a disjoint canonical-index slice. That decomposition is exactly
-// what makes maintenance incremental: a batch of edge deltas dirties a
+// The full build (path/selectivity.h) decomposes into a per-root
+// pre-pass plus |L|² depth-2 prefix tasks (root, l₂), each writing a
+// disjoint canonical-index slice. That decomposition is exactly what
+// makes maintenance incremental: a batch of edge deltas dirties a
 // computable subset of roots and tasks, and re-running just those —
 // through the SAME exported primitives the full build uses
 // (EvaluateFusedRootPrepass / EvaluateFusedPrefixTask) — patches an old
@@ -102,10 +102,8 @@ struct IncrementalStats {
 /// full ComputeSelectivities(patched, k, options) bit-for-bit — including,
 /// on guard violations, returning the same DFS-order-first error.
 ///
-/// `options.strategy` is ignored: the incremental engine IS the fused
-/// depth-2 decomposition. `options.num_threads` parallelizes the touched
-/// roots and dirty tasks exactly like the full build (bit-identical at
-/// every thread count).
+/// `options.num_threads` parallelizes the touched roots and dirty tasks
+/// exactly like the full build (bit-identical at every thread count).
 Result<SelectivityMap> IncrementalSelectivities(
     const Graph& patched, const SelectivityMap& old_map,
     const std::vector<EdgeDelta>& deltas, const SelectivityOptions& options,

@@ -48,9 +48,9 @@ Result<OrderingPtr> MakeOrderingFromStats(
   if (cardinalities.size() != dict.size()) {
     return Status::InvalidArgument("cardinalities size mismatch");
   }
-  if (k < 1 || k > kMaxPathLength) {
-    return Status::InvalidArgument("k out of range");
-  }
+  // Rejects an out-of-range k or an |L_k| past u64 before PathSpace
+  // (whose checks abort) is built.
+  PATHEST_RETURN_NOT_OK(PathSpaceSize(dict.size(), k).status());
   PathSpace space(dict.size(), k);
   auto ranking = [&](RankingRule rule) {
     return LabelRanking::Make(rule, dict, cardinalities);
@@ -113,6 +113,7 @@ Result<OrderingPtr> MakeOrderingWithSelectivities(
       return Status::InvalidArgument(
           "sum-L2 needs selectivities covering length-2 paths");
     }
+    PATHEST_RETURN_NOT_OK(PathSpaceSize(graph.num_labels(), k).status());
     PathSpace space(graph.num_labels(), k);
     BaseLabelSet base = BaseLabelSet::UpToLength(graph.num_labels(), 2);
     return OrderingPtr(new CompositeBaseOrdering(space, base, selectivities));

@@ -45,83 +45,27 @@ inline uint64_t EffectiveThreshold(PairKernel kernel, uint64_t label_cardinality
 
 }  // namespace
 
-LeafCounter::LeafCounter(size_t num_vertices, size_t num_labels)
-    : num_labels_(num_labels),
+FusedExtender::FusedExtender(size_t num_vertices, size_t num_labels)
+    : cap_vertices_(num_vertices),
+      cap_labels_(num_labels),
       marker_(num_vertices),
-      bits_(num_vertices),
-      dense_threshold_(num_labels, 0) {}
-
-void LeafCounter::CountExtensions(const Graph::CsrView* views,
-                                  size_t num_vertices, size_t num_labels,
-                                  const PairSet& parent, PairKernel kernel,
-                                  uint64_t* counts) {
-  PATHEST_CHECK(num_vertices <= bits_.num_bits() && num_labels <= num_labels_,
-                "graph exceeds LeafCounter capacity");
-  // Scan cost is what the bitset actually walks — its full capacity, which
-  // may exceed this graph's vertex count under EvalContext reuse.
-  const size_t num_words = bits_.num_words();
-  for (LabelId l = 0; l < num_labels; ++l) {
-    dense_threshold_[l] = EffectiveThreshold(
-        kernel, views[l].offsets[num_vertices], num_vertices, num_words);
-  }
-  const VertexId* targets = parent.targets.data();
-  for (size_t i = 0; i < parent.srcs.size(); ++i) {
-    const uint64_t begin = parent.offsets[i];
-    const uint64_t end = parent.offsets[i + 1];
-    const uint64_t group_size = end - begin;
-    for (LabelId l = 0; l < num_labels; ++l) {
-      const Graph::CsrView& adj = views[l];
-      if (group_size >= dense_threshold_[l]) {
-        for (uint64_t j = begin; j < end; ++j) {
-          const VertexId t = targets[j];
-          for (uint64_t e = adj.offsets[t]; e < adj.offsets[t + 1]; ++e) {
-            bits_.SetBitBlind(adj.targets[e]);
-          }
-        }
-        counts[l] += bits_.CountAndClear();
-      } else {
-        marker_.NextEpoch();
-        uint64_t distinct = 0;
-        for (uint64_t j = begin; j < end; ++j) {
-          const VertexId t = targets[j];
-          for (uint64_t e = adj.offsets[t]; e < adj.offsets[t + 1]; ++e) {
-            distinct += marker_.Mark(adj.targets[e]);
-          }
-        }
-        counts[l] += distinct;
-      }
-    }
+      bits_(num_labels, DynamicBitset(num_vertices)),
+      emit_(num_labels),
+      dense_threshold_(num_labels, 0),
+      count_threshold_(num_labels, 0),
+      sparse_counts_(num_labels, 0),
+      group_before_(num_labels, 0) {
+  if (num_labels > 0 && num_vertices <= kMaxMarkerEntries / num_labels) {
+    markers_.reserve(num_labels);
+    for (size_t l = 0; l < num_labels; ++l) markers_.emplace_back(num_vertices);
   }
 }
-
-FusedExtender::FusedExtender(size_t num_vertices, size_t num_labels)
-    : cap_vertices_(num_vertices), cap_labels_(num_labels) {}
 
 void FusedExtender::Bind(const Graph& graph, PairKernel kernel) {
   const size_t num_vertices = graph.num_vertices();
   const size_t num_labels = graph.num_labels();
   PATHEST_CHECK(num_labels <= cap_labels_ && num_vertices <= cap_vertices_,
                 "graph exceeds FusedExtender capacity");
-  // The heavy scratch (|L| full-|V| bitsets, per-label epoch markers) is
-  // allocated on FIRST Bind, not construction: every EvalContext owns a
-  // FusedExtender, but only the fused strategy ever binds one — the
-  // per-label engine must not pay for fused-only scratch.
-  if (bits_.empty()) {
-    marker_ = Marker(cap_vertices_);
-    bits_.resize(cap_labels_);
-    for (DynamicBitset& b : bits_) b.Reset(cap_vertices_);
-    emit_.resize(cap_labels_);
-    dense_threshold_.assign(cap_labels_, 0);
-    count_threshold_.assign(cap_labels_, 0);
-    sparse_counts_.assign(cap_labels_, 0);
-    group_before_.assign(cap_labels_, 0);
-    if (cap_labels_ > 0 && cap_vertices_ <= kMaxMarkerEntries / cap_labels_) {
-      markers_.reserve(cap_labels_);
-      for (size_t l = 0; l < cap_labels_; ++l) {
-        markers_.emplace_back(cap_vertices_);
-      }
-    }
-  }
   vm_ = graph.VertexMajor();
   plane_ = graph.AdjacencyBitmaps();
   num_labels_ = num_labels;
@@ -302,7 +246,7 @@ void FusedExtender::ExtendAll(const PairSet& parent, PairSet* children) {
           }
         } else if (inline_sparse) {
           // Inline dedup: first-seen targets go straight into the child
-          // builder, in the same discovery order as the per-label kernel.
+          // builder, in discovery order.
           Marker& marker = markers_[l];
           std::vector<VertexId>& out = children[l].targets;
           for (uint64_t e = tgt_begin; e < tgt_end; ++e) {
@@ -351,47 +295,6 @@ void InitialPairSet(const Graph& graph, LabelId l, PairSet* out) {
     out->targets.insert(out->targets.end(), adj.targets + begin,
                         adj.targets + end);
     out->offsets.push_back(out->targets.size());
-  }
-}
-
-void ExtendPairSet(const Graph& graph, const PairSet& parent, LabelId l,
-                   Marker* marker, DynamicBitset* bits, PairKernel kernel,
-                   PairSet* child) {
-  child->Clear();
-  child->offsets.push_back(0);
-  const Graph::CsrView adj = graph.ForwardView(l);
-  const size_t num_vertices = graph.num_vertices();
-  const uint64_t dense_threshold = EffectiveThreshold(
-      kernel, adj.offsets[num_vertices], num_vertices, bits->num_words());
-  const VertexId* targets = parent.targets.data();
-  for (size_t i = 0; i < parent.srcs.size(); ++i) {
-    const uint64_t begin = parent.offsets[i];
-    const uint64_t end = parent.offsets[i + 1];
-    const size_t before = child->targets.size();
-    if (end - begin >= dense_threshold) {
-      for (uint64_t j = begin; j < end; ++j) {
-        const VertexId t = targets[j];
-        for (uint64_t e = adj.offsets[t]; e < adj.offsets[t + 1]; ++e) {
-          bits->SetBitBlind(adj.targets[e]);
-        }
-      }
-      bits->ExtractAndClear([child](size_t u) {
-        child->targets.push_back(static_cast<VertexId>(u));
-      });
-    } else {
-      marker->NextEpoch();
-      for (uint64_t j = begin; j < end; ++j) {
-        const VertexId t = targets[j];
-        for (uint64_t e = adj.offsets[t]; e < adj.offsets[t + 1]; ++e) {
-          const VertexId u = adj.targets[e];
-          if (marker->Mark(u)) child->targets.push_back(u);
-        }
-      }
-    }
-    if (child->targets.size() > before) {
-      child->srcs.push_back(parent.srcs[i]);
-      child->offsets.push_back(child->targets.size());
-    }
   }
 }
 

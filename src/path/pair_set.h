@@ -1,15 +1,14 @@
 // pathest: the evaluator's scratch data structures — distinct pair sets and
-// the adaptive kernels that extend them.
+// the fused all-labels kernel that extends them.
 //
-// These types used to live inside selectivity.cc; they are exposed here so
-// the engine layer (engine/eval_context.h) can own one instance of each per
+// The engine layer (engine/eval_context.h) owns one instance of each per
 // worker thread. They are scratch, not values: every structure is reusable
 // across evaluations and none is thread-safe on its own — parallel callers
 // get isolation by owning disjoint instances, one per worker.
 //
-// Kernels. Both extension passes (ExtendPairSet, LeafCounter) deduplicate
-// the successors of one source group, and do so with one of two kernels
-// chosen per (group, label) cell:
+// Kernels. FusedExtender deduplicates the successors of one source group
+// per label, and does so with one of two kernels chosen per (group, label)
+// cell:
 //   * sparse — the epoch-marker loop: each candidate successor probes a
 //     per-vertex epoch word; first-seen vertices are emitted in discovery
 //     order. Cost ~ O(emissions) with a branchy random 8-byte access each.
@@ -127,55 +126,16 @@ class Marker {
   std::vector<uint64_t> epoch_of_;
 };
 
-/// \brief Fused leaf counter: computes the distinct-pair counts of ALL
-/// single-label extensions of a parent in one pass over its groups.
-///
-/// Children at the deepest DFS level are never extended further, so their
-/// pair sets need not be materialized — only counted. Each (group, label)
-/// cell runs the sparse or dense kernel independently (labels differ wildly
-/// in density under skewed label assignment, so per-label choice beats a
-/// per-group one). The leaf level holds the vast majority (a fraction
-/// (|L|-1)/|L|) of all path-tree nodes, so this pass dominates evaluator
-/// cost. Any label count is supported — the former 64-label ceiling of the
-/// per-vertex bitmask implementation is gone.
-class LeafCounter {
- public:
-  LeafCounter(size_t num_vertices, size_t num_labels);
-
-  /// \brief Adds, for each label l, the number of distinct (s, u) pairs of
-  /// parent ⋈ l into counts[l].
-  ///
-  /// `views` must hold one Graph::ForwardView per label — hoisted by the
-  /// caller (see EvalContext::fwd_views) so this pass allocates nothing.
-  /// `num_vertices`/`num_labels` are the CURRENT graph's counts; they may
-  /// be smaller than the capacities this counter was constructed with (the
-  /// EvalContext reuse contract), and bound which views are read and how
-  /// mean degrees are computed.
-  void CountExtensions(const Graph::CsrView* views, size_t num_vertices,
-                       size_t num_labels, const PairSet& parent,
-                       PairKernel kernel, uint64_t* counts);
-
- private:
-  size_t num_labels_;
-  Marker marker_;       // sparse-kernel scratch
-  DynamicBitset bits_;  // dense-kernel scratch; all-zero between cells
-  // Per-label group-size thresholds (DenseGroupThreshold), refreshed at the
-  // top of each CountExtensions call — member scratch, not allocation.
-  std::vector<uint64_t> dense_threshold_;
-};
-
 /// \brief Fused all-labels extension kernel: joins a parent pair set with
 /// EVERY label in a single pass over its target lists.
 ///
-/// The per-label kernels (ExtendPairSet, LeafCounter) re-walk the parent's
-/// target lists once per label, paying |L| random CSR row accesses per
-/// target. This kernel walks each target exactly once and reads its FULL
-/// out-adjacency sequentially from the graph's vertex-major view
-/// (Graph::VertexMajor), dispatching each label segment into a per-label
-/// accumulator:
-///   * dense cells (per-cell DenseGroupThreshold, same rule as the
-///     per-label kernels) accumulate into a per-label DynamicBitset —
-///     segments that carry enough edges union their PRECOMPUTED adjacency
+/// Rather than re-walking the parent's target lists once per label (|L|
+/// random CSR row accesses per target), this kernel walks each target
+/// exactly once and reads its FULL out-adjacency sequentially from the
+/// graph's vertex-major view (Graph::VertexMajor), dispatching each label
+/// segment into a per-label accumulator:
+///   * dense cells (per-cell DenseGroupThreshold) accumulate into a
+///     per-label DynamicBitset — segments that carry enough edges union their PRECOMPUTED adjacency
 ///     bitmap row (Graph::AdjacencyBitmaps, stride vectorized word-ORs)
 ///     instead of one bit-RMW per edge; the bitset is drained per group by
 ///     CountAndClear / ExtractAndClear;
@@ -191,8 +151,9 @@ class LeafCounter {
 /// Determinism: the per-cell kernel choice depends only on the graph and
 /// the parent's group sizes (never on threads or prior scratch), and every
 /// accumulator produces the same distinct sets, so maps computed through
-/// this kernel are bit-identical to the per-label kernels' — test-enforced
-/// by tests/fused_selectivity_test.cc.
+/// this kernel are identical under every kernel policy and equal to the
+/// naive reference evaluator's — test-enforced by
+/// tests/fused_selectivity_test.cc.
 class FusedExtender {
  public:
   /// Per-label-marker budget: inline sparse-cell dedup needs |V|·|L| epoch
@@ -210,14 +171,12 @@ class FusedExtender {
 
   /// Capacities: reusable for any graph with at most `num_vertices`
   /// vertices and `num_labels` labels (the EvalContext reuse contract).
-  /// Construction records the capacities only — the scratch itself is
-  /// allocated by the first Bind, so contexts that never run the fused
-  /// strategy pay nothing for it.
+  /// Allocates all scratch up front.
   FusedExtender(size_t num_vertices, size_t num_labels);
 
   /// \brief Binds the graph (and kernel policy) this extender reads:
-  /// allocates the scratch on first call, caches the vertex-major view
-  /// and adjacency plane, and refreshes the per-label density thresholds.
+  /// caches the vertex-major view and adjacency plane, and refreshes the
+  /// per-label density thresholds.
   /// Must be called before CountAll / ExtendAll whenever the graph or
   /// kernel changes; O(|L|) after the first call.
   void Bind(const Graph& graph, PairKernel kernel);
@@ -266,7 +225,7 @@ class FusedExtender {
   std::vector<std::vector<VertexId>> emit_;  // per label arenas (fallback)
   /// ExtendAll's per-label group-size thresholds: the plain
   /// DenseGroupThreshold — materialization pays a position-extraction
-  /// drain, so the bitset only wins where it did for the per-label kernel.
+  /// drain per dense cell, so the bitset must amortize a full word scan.
   std::vector<uint64_t> dense_threshold_;
   /// CountAll's thresholds: with the adjacency plane the drain is a bare
   /// popcount, so the crossover moves to the row-OR bound (see Bind).
@@ -284,16 +243,6 @@ class FusedExtender {
 /// \brief Builds the level-1 pair set for label `l` directly from the CSR,
 /// in one unchecked ForwardView sweep.
 void InitialPairSet(const Graph& graph, LabelId l, PairSet* out);
-
-/// \brief parent ⋈ label -> child: for every (s, t) in parent and t -l-> u,
-/// emit the distinct (s, u). The dominant loop of ComputeSelectivities.
-///
-/// `marker` and `bits` are the sparse/dense kernel scratch (bits must be
-/// sized to the graph's vertex count and all-zero, which the kernel
-/// restores before returning); `kernel` follows DenseGroupThreshold.
-void ExtendPairSet(const Graph& graph, const PairSet& parent, LabelId l,
-                   Marker* marker, DynamicBitset* bits, PairKernel kernel,
-                   PairSet* child);
 
 }  // namespace pathest
 

@@ -1,22 +1,46 @@
 #include "path/path_space.h"
 
-#include "util/combinatorics.h"
+#include <string>
 
 namespace pathest {
 
+Result<uint64_t> PathSpaceSize(size_t num_labels, size_t k) {
+  const std::string shape =
+      "|L|=" + std::to_string(num_labels) + ", k=" + std::to_string(k);
+  if (num_labels == 0) {
+    return Status::InvalidArgument("path space needs >= 1 label (" + shape +
+                                   ")");
+  }
+  if (k < 1 || k > kMaxPathLength) {
+    return Status::InvalidArgument("path space k out of range [1, " +
+                                   std::to_string(kMaxPathLength) + "] (" +
+                                   shape + ")");
+  }
+  uint64_t total = 0;
+  uint64_t pow = 1;
+  for (size_t len = 1; len <= k; ++len) {
+    if (__builtin_mul_overflow(pow, static_cast<uint64_t>(num_labels),
+                               &pow) ||
+        __builtin_add_overflow(total, pow, &total)) {
+      return Status::InvalidArgument("path space |L_k| overflows u64 (" +
+                                     shape + ")");
+    }
+  }
+  return total;
+}
+
 PathSpace::PathSpace(size_t num_labels, size_t k)
     : num_labels_(num_labels), k_(k) {
-  PATHEST_CHECK(num_labels >= 1, "PathSpace requires >= 1 label");
-  PATHEST_CHECK(k >= 1 && k <= kMaxPathLength, "PathSpace k out of range");
-  uint64_t offset = 0;
+  const Result<uint64_t> size = PathSpaceSize(num_labels, k);
+  PATHEST_CHECK(size.ok(), "PathSpace shape invalid (check PathSpaceSize)");
+  // In range by the check above: no partial sum can overflow.
   uint64_t pow = 1;
   offsets_[1] = 0;
   for (size_t len = 1; len <= k; ++len) {
-    pow = CheckedMul(pow, num_labels);
-    offset = CheckedAdd(offset, pow);
-    offsets_[len + 1] = offset;
+    pow *= num_labels;
+    offsets_[len + 1] = offsets_[len] + pow;
   }
-  size_ = offset;
+  size_ = *size;
 }
 
 uint64_t PathSpace::CountWithLength(size_t len) const {

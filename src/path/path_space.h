@@ -17,6 +17,15 @@
 
 namespace pathest {
 
+/// \brief |L_k| = sum_{i=1..k} |L|^i for `num_labels` labels, without
+/// aborting: InvalidArgument naming |L| and k when the count overflows
+/// u64 (or when num_labels == 0 or k is outside [1, kMaxPathLength]).
+/// Every entry point that sizes a PathSpace from untrusted or user input
+/// (ComputeSelectivities, the ordering factories, the catalog readers)
+/// checks this first; the PathSpace constructor itself treats a bad shape
+/// as a programming error and aborts.
+Result<uint64_t> PathSpaceSize(size_t num_labels, size_t k);
+
 /// \brief The set L_k of label paths with length in [1, k] over `num_labels`
 /// labels, with O(k) canonical (un)ranking.
 class PathSpace {

@@ -9,27 +9,9 @@
 #include "engine/schedule.h"
 #include "engine/thread_pool.h"
 #include "path/pair_set.h"
-#include "util/bitset.h"
 #include "util/timer.h"
 
 namespace pathest {
-
-const char* ExtendStrategyName(ExtendStrategy strategy) {
-  switch (strategy) {
-    case ExtendStrategy::kPerLabel:
-      return "per-label";
-    case ExtendStrategy::kFused:
-    default:
-      return "fused";
-  }
-}
-
-Result<ExtendStrategy> ParseExtendStrategy(const std::string& name) {
-  if (name == "fused") return ExtendStrategy::kFused;
-  if (name == "per-label") return ExtendStrategy::kPerLabel;
-  return Status::InvalidArgument("unknown strategy '" + name +
-                                 "' (expected fused|per-label)");
-}
 
 SelectivityMap::SelectivityMap(PathSpace space)
     : space_(space), values_(space.size(), 0) {}
@@ -73,68 +55,7 @@ Status PairLimitExceeded(const LabelPath& path) {
       "pair set exceeds max_pairs_per_prefix at path " + path.ToIdString());
 }
 
-struct RootDfs {
-  const Graph* graph;
-  const SelectivityOptions* options;
-  SelectivityMap* map;
-  EvalContext* ctx;
-  size_t k;
-};
-
-// Recursively evaluates all extensions of `path` (whose pair set is at
-// ctx->levels[path.length()]) with the per-label kernels. `radix` is the
-// canonical radix of `path` — the DFS maintains the canonical index
-// incrementally (child = radix * |L| + l, offset by the child length's
-// base) instead of recomputing the O(k) PathSpace::CanonicalIndex at every
-// node; the assert checks agreement with the recomputed index in
-// NDEBUG-off builds.
-Status DfsExtend(RootDfs* r, LabelPath* path, uint64_t radix) {
-  const size_t depth = path->length();
-  if (depth == r->k) return Status::OK();
-  const PairSet& parent = r->ctx->levels[depth];
-  const size_t num_labels = r->graph->num_labels();
-  const PathSpace& space = r->map->space();
-  const uint64_t child_base =
-      space.LengthOffset(depth + 1) + radix * num_labels;
-  if (depth + 1 == r->k) {
-    // Children are leaves: count all |L| extensions in one fused pass over
-    // hoisted scratch (views + counts live in the context — no allocation).
-    uint64_t* counts = r->ctx->leaf_counts.data();
-    std::fill_n(counts, num_labels, uint64_t{0});
-    r->ctx->leaf_counter.CountExtensions(r->ctx->fwd_views.data(),
-                                         r->graph->num_vertices(), num_labels,
-                                         parent, r->options->kernel, counts);
-    for (LabelId l = 0; l < num_labels; ++l) {
-#ifndef NDEBUG
-      path->PushBack(l);
-      assert(child_base + l == space.CanonicalIndex(*path));
-      path->PopBack();
-#endif
-      r->map->SetByCanonicalIndex(child_base + l, counts[l]);
-    }
-    return Status::OK();
-  }
-  for (LabelId l = 0; l < num_labels; ++l) {
-    PairSet* child = &r->ctx->levels[depth + 1];
-    ExtendPairSet(*r->graph, parent, l, &r->ctx->marker, &r->ctx->extend_bits,
-                  r->options->kernel, child);
-    path->PushBack(l);
-    assert(child_base + l == space.CanonicalIndex(*path));
-    r->map->SetByCanonicalIndex(child_base + l, child->size());
-    if (r->options->max_pairs_per_prefix != 0 &&
-        child->size() > r->options->max_pairs_per_prefix) {
-      return PairLimitExceeded(*path);
-    }
-    if (child->size() > 0) {
-      PATHEST_RETURN_NOT_OK(DfsExtend(r, path, radix * num_labels + l));
-    }
-    // Empty child: all deeper extensions stay zero (already initialized).
-    path->PopBack();
-  }
-  return Status::OK();
-}
-
-struct FusedDfs {
+struct TaskDfs {
   const Graph* graph;
   const SelectivityOptions* options;
   SelectivityMap* map;
@@ -145,10 +66,13 @@ struct FusedDfs {
 // Recursively evaluates all extensions of `path` (whose non-empty pair set
 // is `parent`) with the fused all-labels kernel: one ExtendAll/CountAll
 // pass materializes or counts ALL |L| children of the node at once, then
-// the interior children are visited depth-first. The canonical index is
-// maintained incrementally exactly as in DfsExtend.
-Status FusedDfsExtend(FusedDfs* r, LabelPath* path, const PairSet& parent,
-                      uint64_t radix) {
+// the interior children are visited depth-first. `radix` is the canonical
+// radix of `path` — the DFS maintains the canonical index incrementally
+// (child = radix * |L| + l, offset by the child length's base) instead of
+// recomputing the O(k) PathSpace::CanonicalIndex at every node; the
+// asserts check agreement with the recomputed index in NDEBUG-off builds.
+Status ExtendSubtree(TaskDfs* r, LabelPath* path, const PairSet& parent,
+                     uint64_t radix) {
   const size_t depth = path->length();
   const size_t num_labels = r->graph->num_labels();
   const PathSpace& space = r->map->space();
@@ -184,24 +108,105 @@ Status FusedDfsExtend(FusedDfs* r, LabelPath* path, const PairSet& parent,
     }
     if (child_size > 0) {
       PATHEST_RETURN_NOT_OK(
-          FusedDfsExtend(r, path, children[l], radix * num_labels + l));
+          ExtendSubtree(r, path, children[l], radix * num_labels + l));
     }
     path->PopBack();
   }
   return Status::OK();
 }
 
-// The fused-strategy build: a parallel per-root pre-pass (level-1 sets,
-// fused extension into the shared level-2 blocks, exact task weights)
-// followed by the depth-2 prefix tasks (root, l2), dispatched
-// heaviest-first over the pool's atomic work queue so idle workers steal
-// the next-heaviest pending task. Every write target (map slices, level-2
-// block slices, per-root/per-cell status slots) is disjoint; the returned
-// status is the DFS-order-first failure, exactly matching the per-label
-// engine's "lowest failing root's first violation" semantics.
-Result<SelectivityMap> ComputeSelectivitiesFused(
-    const Graph& graph, size_t k, const SelectivityOptions& options) {
+}  // namespace
+
+Status EvaluateFusedRootPrepass(const Graph& graph, EvalContext& ctx,
+                                LabelId root, size_t k,
+                                const SelectivityOptions& options,
+                                SelectivityMap* map, PairSet* level2_cells,
+                                Status* cell_status) {
   const size_t num_labels = graph.num_labels();
+  const PathSpace& space = map->space();
+  const uint64_t max_pairs = options.max_pairs_per_prefix;
+  InitialPairSet(graph, root, &ctx.level1);
+  const uint64_t level1_size = ctx.level1.size();
+  const uint64_t root_index = space.LengthOffset(1) + root;
+  assert(root_index == space.CanonicalIndex(LabelPath{root}));
+  map->SetByCanonicalIndex(root_index, level1_size);
+  if (max_pairs != 0 && level1_size > max_pairs) {
+    return PairLimitExceeded(LabelPath{root});
+  }
+  if (k >= 2 && level1_size > 0) {
+    const uint64_t child_base = space.LengthOffset(2) + root * num_labels;
+    if (k == 2) {
+      uint64_t* counts = ctx.leaf_counts.data();
+      std::fill_n(counts, num_labels, uint64_t{0});
+      ctx.fused.CountAll(ctx.level1, counts);
+      for (LabelId l = 0; l < num_labels; ++l) {
+        map->SetByCanonicalIndex(child_base + l, counts[l]);
+      }
+    } else {
+      ctx.fused.ExtendAll(ctx.level1, level2_cells);
+      for (LabelId l = 0; l < num_labels; ++l) {
+        const uint64_t size = level2_cells[l].size();
+        map->SetByCanonicalIndex(child_base + l, size);
+        if (max_pairs != 0 && size > max_pairs) {
+          cell_status[l] = PairLimitExceeded(LabelPath{root, l});
+        }
+      }
+    }
+  }
+  return Status::OK();
+}
+
+Status EvaluateFusedPrefixTask(const Graph& graph, EvalContext& ctx,
+                               LabelId root, LabelId l2, const PairSet& level2,
+                               size_t k, const SelectivityOptions& options,
+                               SelectivityMap* map) {
+  LabelPath path{root, l2};
+  TaskDfs r{&graph, &options, map, &ctx, k};
+  const uint64_t radix =
+      static_cast<uint64_t>(root) * graph.num_labels() + l2;
+  return ExtendSubtree(&r, &path, level2, radix);
+}
+
+void ZeroPrefixSubtree(LabelId root, LabelId l2, SelectivityMap* map) {
+  const PathSpace& space = map->space();
+  const uint64_t num_labels = space.num_labels();
+  const uint64_t cell = static_cast<uint64_t>(root) * num_labels + l2;
+  // The prefix's digits are the most significant radix digits of the
+  // canonical index, so its length-d descendants are one contiguous run of
+  // |L|^(d-2) entries starting at cell * |L|^(d-2) within length d's block.
+  uint64_t stride = 1;
+  for (size_t d = 3; d <= space.k(); ++d) {
+    stride *= num_labels;
+    map->ZeroRange(space.LengthOffset(d) + cell * stride, stride);
+  }
+}
+
+size_t SelectivityTaskCount(size_t num_labels, size_t k) {
+  return k >= 3 ? num_labels * num_labels : num_labels;
+}
+
+size_t ResolvedNumThreads(const SelectivityOptions& options,
+                          size_t num_labels, size_t k) {
+  const size_t requested = options.num_threads == 0
+                               ? ThreadPool::DefaultThreads()
+                               : options.num_threads;
+  // Tasks are the unit of fan-out; extra workers would idle.
+  return std::min(requested, SelectivityTaskCount(num_labels, k));
+}
+
+// The build: a parallel per-root pre-pass (level-1 sets, fused extension
+// into the shared level-2 blocks, exact task weights) followed by the
+// depth-2 prefix tasks (root, l2), dispatched heaviest-first over the
+// pool's atomic work queue so idle workers steal the next-heaviest pending
+// task. Every write target (map slices, level-2 block slices, per-root/
+// per-cell status slots) is disjoint; the returned status is the first
+// failure in DFS pre-order.
+Result<SelectivityMap> ComputeSelectivities(const Graph& graph, size_t k,
+                                            const SelectivityOptions& options) {
+  const size_t num_labels = graph.num_labels();
+  if (num_labels == 0) return Status::InvalidArgument("graph has no labels");
+  // Validates k and |L_k| before PathSpace (whose checks abort) is built.
+  PATHEST_RETURN_NOT_OK(PathSpaceSize(num_labels, k).status());
   PathSpace space(num_labels, k);
   SelectivityMap map(space);
   const size_t num_threads = ResolvedNumThreads(options, num_labels, k);
@@ -327,7 +332,7 @@ Result<SelectivityMap> ComputeSelectivitiesFused(
   // DFS-order-first failure: for each root in ascending order, a level-1
   // violation precedes its cells'; within a root, cell l2's level-2 check
   // precedes any failure deeper inside l2's subtree, which precedes cell
-  // l2+1 — exactly the per-label engine's pre-order.
+  // l2+1 — the pre-order of one serial DFS over the whole trie.
   for (size_t root = 0; root < num_labels; ++root) {
     if (!root_status[root].ok()) return std::move(root_status[root]);
     for (size_t cell = root * num_labels;
@@ -336,218 +341,6 @@ Result<SelectivityMap> ComputeSelectivitiesFused(
     }
   }
   return map;
-}
-
-}  // namespace
-
-Status EvaluateFusedRootPrepass(const Graph& graph, EvalContext& ctx,
-                                LabelId root, size_t k,
-                                const SelectivityOptions& options,
-                                SelectivityMap* map, PairSet* level2_cells,
-                                Status* cell_status) {
-  const size_t num_labels = graph.num_labels();
-  const PathSpace& space = map->space();
-  const uint64_t max_pairs = options.max_pairs_per_prefix;
-  InitialPairSet(graph, root, &ctx.levels[1]);
-  const uint64_t level1_size = ctx.levels[1].size();
-  const uint64_t root_index = space.LengthOffset(1) + root;
-  assert(root_index == space.CanonicalIndex(LabelPath{root}));
-  map->SetByCanonicalIndex(root_index, level1_size);
-  if (max_pairs != 0 && level1_size > max_pairs) {
-    return PairLimitExceeded(LabelPath{root});
-  }
-  if (k >= 2 && level1_size > 0) {
-    const uint64_t child_base = space.LengthOffset(2) + root * num_labels;
-    if (k == 2) {
-      uint64_t* counts = ctx.leaf_counts.data();
-      std::fill_n(counts, num_labels, uint64_t{0});
-      ctx.fused.CountAll(ctx.levels[1], counts);
-      for (LabelId l = 0; l < num_labels; ++l) {
-        map->SetByCanonicalIndex(child_base + l, counts[l]);
-      }
-    } else {
-      ctx.fused.ExtendAll(ctx.levels[1], level2_cells);
-      for (LabelId l = 0; l < num_labels; ++l) {
-        const uint64_t size = level2_cells[l].size();
-        map->SetByCanonicalIndex(child_base + l, size);
-        if (max_pairs != 0 && size > max_pairs) {
-          cell_status[l] = PairLimitExceeded(LabelPath{root, l});
-        }
-      }
-    }
-  }
-  return Status::OK();
-}
-
-Status EvaluateFusedPrefixTask(const Graph& graph, EvalContext& ctx,
-                               LabelId root, LabelId l2, const PairSet& level2,
-                               size_t k, const SelectivityOptions& options,
-                               SelectivityMap* map) {
-  LabelPath path{root, l2};
-  FusedDfs r{&graph, &options, map, &ctx, k};
-  const uint64_t radix =
-      static_cast<uint64_t>(root) * graph.num_labels() + l2;
-  return FusedDfsExtend(&r, &path, level2, radix);
-}
-
-void ZeroPrefixSubtree(LabelId root, LabelId l2, SelectivityMap* map) {
-  const PathSpace& space = map->space();
-  const uint64_t num_labels = space.num_labels();
-  const uint64_t cell = static_cast<uint64_t>(root) * num_labels + l2;
-  // The prefix's digits are the most significant radix digits of the
-  // canonical index, so its length-d descendants are one contiguous run of
-  // |L|^(d-2) entries starting at cell * |L|^(d-2) within length d's block.
-  uint64_t stride = 1;
-  for (size_t d = 3; d <= space.k(); ++d) {
-    stride *= num_labels;
-    map->ZeroRange(space.LengthOffset(d) + cell * stride, stride);
-  }
-}
-
-Status EvaluateRootSubtree(const Graph& graph, EvalContext& ctx, LabelId root,
-                           size_t k, const SelectivityOptions& options,
-                           SelectivityMap* map) {
-  RootDfs r{&graph, &options, map, &ctx, k};
-  for (LabelId l = 0; l < graph.num_labels(); ++l) {
-    ctx.fwd_views[l] = graph.ForwardView(l);
-  }
-  InitialPairSet(graph, root, &ctx.levels[1]);
-  LabelPath path{root};
-  const uint64_t root_index = map->space().LengthOffset(1) + root;
-  assert(root_index == map->space().CanonicalIndex(path));
-  map->SetByCanonicalIndex(root_index, ctx.levels[1].size());
-  if (options.max_pairs_per_prefix != 0 &&
-      ctx.levels[1].size() > options.max_pairs_per_prefix) {
-    return PairLimitExceeded(path);
-  }
-  if (ctx.levels[1].size() > 0) {
-    PATHEST_RETURN_NOT_OK(DfsExtend(&r, &path, root));
-  }
-  return Status::OK();
-}
-
-size_t SelectivityTaskCount(size_t num_labels, size_t k,
-                            ExtendStrategy strategy) {
-  if (strategy == ExtendStrategy::kFused && k >= 3) {
-    return num_labels * num_labels;
-  }
-  return num_labels;
-}
-
-size_t ResolvedNumThreads(const SelectivityOptions& options,
-                          size_t num_labels, size_t k) {
-  const size_t requested = options.num_threads == 0
-                               ? ThreadPool::DefaultThreads()
-                               : options.num_threads;
-  // Tasks are the unit of fan-out; extra workers would idle.
-  return std::min(requested,
-                  SelectivityTaskCount(num_labels, k, options.strategy));
-}
-
-Result<SelectivityMap> ComputeSelectivities(const Graph& graph, size_t k,
-                                            const SelectivityOptions& options) {
-  if (graph.num_labels() == 0) {
-    return Status::InvalidArgument("graph has no labels");
-  }
-  if (k < 1 || k > kMaxPathLength) {
-    return Status::InvalidArgument("k out of range [1, kMaxPathLength]");
-  }
-  if (options.strategy == ExtendStrategy::kFused) {
-    return ComputeSelectivitiesFused(graph, k, options);
-  }
-  const size_t num_labels = graph.num_labels();
-  PathSpace space(num_labels, k);
-  SelectivityMap map(space);
-
-  const size_t num_threads = ResolvedNumThreads(options, num_labels, k);
-
-  // Each root records its own status; the lowest-id failure is returned so
-  // the outcome (map on success, status on failure) never depends on thread
-  // count or scheduling.
-  std::vector<Status> root_status(num_labels);
-  std::mutex callback_mu;  // serializes options.progress / options.label_time
-
-  auto run_root = [&](size_t root, EvalContext& ctx) {
-    Timer timer;
-    Status st = EvaluateRootSubtree(graph, ctx, static_cast<LabelId>(root), k,
-                                    options, &map);
-    const double elapsed_ms = timer.ElapsedMillis();
-    root_status[root] = std::move(st);
-    if (options.progress || options.label_time) {
-      std::lock_guard<std::mutex> lock(callback_mu);
-      if (options.label_time) {
-        options.label_time(static_cast<LabelId>(root), elapsed_ms);
-      }
-      if (options.progress) options.progress(static_cast<LabelId>(root));
-    }
-  };
-
-  if (num_threads <= 1) {
-    EvalContext ctx(graph.num_vertices(), num_labels, k);
-    for (size_t root = 0; root < num_labels; ++root) run_root(root, ctx);
-  } else {
-    ThreadPool pool(num_threads);
-    std::vector<EvalContext> contexts;
-    contexts.reserve(pool.num_threads());
-    for (size_t w = 0; w < pool.num_threads(); ++w) {
-      contexts.emplace_back(graph.num_vertices(), num_labels, k);
-    }
-    // Dispatch heaviest-first: a root's subtree cost scales with its
-    // pair-set sizes, and its level-1 cardinality — exactly the label
-    // cardinality, since the level-1 pair set IS the label's edge set — is
-    // a free deterministic proxy. Presentation order changes only which
-    // worker finishes when, never the result (disjoint slices).
-    std::vector<uint64_t> weights(num_labels);
-    for (size_t root = 0; root < num_labels; ++root) {
-      weights[root] = graph.LabelCardinality(static_cast<LabelId>(root));
-    }
-    const std::vector<size_t> order = HeaviestFirstOrder(weights);
-    pool.ParallelFor(num_labels, [&](size_t slot, size_t worker) {
-      run_root(order[slot], contexts[worker]);
-    });
-  }
-
-  for (size_t root = 0; root < num_labels; ++root) {
-    if (!root_status[root].ok()) return std::move(root_status[root]);
-  }
-  return map;
-}
-
-Result<uint64_t> EvaluatePathSelectivity(const Graph& graph,
-                                         const LabelPath& path) {
-  auto pairs = EvaluatePathPairs(graph, path);
-  if (!pairs.ok()) return pairs.status();
-  return static_cast<uint64_t>(pairs->size());
-}
-
-Result<std::vector<uint64_t>> EvaluatePathPairs(const Graph& graph,
-                                                const LabelPath& path) {
-  if (path.empty()) return Status::InvalidArgument("empty path");
-  for (size_t i = 0; i < path.length(); ++i) {
-    if (path.label(i) >= graph.num_labels()) {
-      return Status::InvalidArgument("path uses unknown label id");
-    }
-  }
-  Marker marker(graph.num_vertices());
-  DynamicBitset bits(graph.num_vertices());
-  PairSet current;
-  PairSet next;
-  InitialPairSet(graph, path.label(0), &current);
-  for (size_t i = 1; i < path.length(); ++i) {
-    ExtendPairSet(graph, current, path.label(i), &marker, &bits,
-                  PairKernel::kAuto, &next);
-    std::swap(current, next);
-  }
-  std::vector<uint64_t> packed;
-  packed.reserve(current.size());
-  for (size_t i = 0; i < current.srcs.size(); ++i) {
-    for (uint64_t j = current.offsets[i]; j < current.offsets[i + 1]; ++j) {
-      packed.push_back((static_cast<uint64_t>(current.srcs[i]) << 32) |
-                       current.targets[j]);
-    }
-  }
-  std::sort(packed.begin(), packed.end());
-  return packed;
 }
 
 }  // namespace pathest

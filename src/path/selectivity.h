@@ -3,34 +3,32 @@
 // The selectivity f(ℓ) of a label path ℓ is the number of DISTINCT vertex
 // pairs (vs, vt) connected by an ℓ-labeled path (paper Section 2). The
 // evaluator walks the label-prefix trie depth-first; at each node it holds
-// the distinct pair set of the prefix, grouped by source vertex, and joins
-// it with the per-label adjacency to produce each child. Empty prefixes
+// the distinct pair set of the prefix, grouped by source vertex, and
+// extends it into ALL |L| children in one pass over the graph's
+// vertex-major adjacency (FusedExtender, path/pair_set.h). Empty prefixes
 // prune their whole subtree, which is what makes k = 6 tractable on sparse
-// data. Only the <= k pair sets on the current DFS branch are resident.
+// data.
 //
-// Parallelism: any two distinct label-path PREFIXES root independent
+// Decomposition: any two distinct label-path PREFIXES root independent
 // subtrees — they read the same immutable Graph and write DISJOINT slices
 // of the canonical index space (a prefix's digits are the most significant
 // radix digits of the canonical index, so its descendants of each length
-// form one contiguous run). The default (fused) strategy decomposes the
-// build into depth-2 prefix tasks (root, l2): a parallel pre-pass builds
-// every root's level-1 pair set and fused-extends it into all |L| level-2
-// sets at once, then the |L|² tasks are dispatched heaviest-first (by their
-// exact level-2 pair-set size) over the engine ThreadPool, whose atomic
-// work queue lets idle workers steal the next-heaviest pending task. The
-// legacy per-label strategy fans out whole root subtrees instead (|L|
-// tasks, weighted by label cardinality). Either way there is one
-// EvalContext per worker and the result is bit-identical for every
-// num_threads value and both strategies.
+// form one contiguous run). The build is split into depth-2 prefix tasks
+// (root, l2): a parallel pre-pass builds every root's level-1 pair set and
+// extends it into all |L| level-2 sets at once, then the |L|² tasks are
+// dispatched heaviest-first (by their exact level-2 pair-set size) over
+// the engine ThreadPool, whose atomic work queue lets idle workers steal
+// the next-heaviest pending task. There is one EvalContext per worker and
+// the result is bit-identical for every num_threads value.
 //
 // Kernels: each extension step deduplicates successors with either the
 // sparse epoch-marker kernel or the dense bitmap kernel, chosen per
-// (source group, label) by a cost estimate (see path/pair_set.h). The
-// fused strategy additionally walks each pair ONCE for all labels via the
-// graph's vertex-major view instead of once per label (FusedExtender).
-// SelectivityOptions::kernel / ::strategy can force any combination for
-// measurement; the contract is that the choice NEVER changes the computed
-// map, only speed.
+// (source group, label) by a cost estimate (see path/pair_set.h).
+// SelectivityOptions::kernel can force one kernel for measurement; the
+// contract is that the choice NEVER changes the computed map, only speed.
+//
+// The test suites check this engine against a deliberately naive
+// reference evaluator (tests/reference/), which shares no code with it.
 
 #ifndef PATHEST_PATH_SELECTIVITY_H_
 #define PATHEST_PATH_SELECTIVITY_H_
@@ -46,23 +44,6 @@
 #include "util/status.h"
 
 namespace pathest {
-
-/// \brief Evaluator decomposition + extension strategy.
-enum class ExtendStrategy : uint8_t {
-  /// Fused all-labels extension (vertex-major single pass, FusedExtender)
-  /// with depth-2 prefix-task decomposition. The default.
-  kFused = 0,
-  /// Per-label ExtendPairSet/LeafCounter loops with per-root-label
-  /// decomposition — the pre-fusion engine, kept as the measurable
-  /// baseline and as an independently-derived oracle for the fused path.
-  kPerLabel = 1,
-};
-
-/// \brief Stable lowercase name ("fused" / "per-label").
-const char* ExtendStrategyName(ExtendStrategy strategy);
-
-/// \brief Inverse of ExtendStrategyName; InvalidArgument on unknown names.
-Result<ExtendStrategy> ParseExtendStrategy(const std::string& name);
 
 /// \brief Dense map from every path in L_k to its exact selectivity.
 class SelectivityMap {
@@ -109,41 +90,26 @@ class SelectivityMap {
 
 /// \brief Options for the exact evaluator.
 struct SelectivityOptions {
-  /// Abort with ResourceExhausted when a single prefix's distinct pair set
-  /// exceeds this many pairs (0 = unlimited). Guards against dense graphs
-  /// where |R| would approach |V|^2. Every root subtree is still evaluated
-  /// (each aborting at its own first violation), and the error of the
-  /// lowest-id failing root is returned — so the reported status is
-  /// deterministic and independent of num_threads.
+  /// Abort with ResourceExhausted when a materialized prefix pair set
+  /// exceeds this many pairs (0 = unlimited). This bounds the build's
+  /// pair-set memory: the pre-pass keeps the WHOLE level-2 layer of pair sets
+  /// resident for k >= 3 (the prefix tasks' starting sets, each freed as
+  /// its task completes), and the guard bounds every one of them, as well
+  /// as every level-1 set and every interior set of the DFS. Length-k
+  /// leaves are only counted, never materialized, so they are not checked.
+  /// Every root and task is still evaluated (each stopping at its own
+  /// first violation), and the error of the first violation in DFS
+  /// pre-order is returned — so the reported status is deterministic and
+  /// independent of num_threads and kernel.
   uint64_t max_pairs_per_prefix = 0;
 
   /// Number of worker threads for the parallel fan-out. 1 (default) is
   /// fully serial and spawns no threads; 0 means one thread per hardware
   /// core. The computed SelectivityMap is bit-identical for every value:
-  /// every task writes a disjoint slice of the map. Under the fused
-  /// strategy the unit of fan-out is the depth-2 prefix task (root, l2),
-  /// so useful parallelism reaches |L|² instead of the per-label
-  /// strategy's |L| (see ResolvedNumThreads / SelectivityTaskCount).
+  /// every task writes a disjoint slice of the map. The unit of fan-out is
+  /// the depth-2 prefix task (root, l2), so useful parallelism reaches |L|²
+  /// (see ResolvedNumThreads / SelectivityTaskCount).
   size_t num_threads = 1;
-
-  /// Evaluator strategy (see ExtendStrategy). kFused (default) extends
-  /// each interior DFS node into ALL |L| children in one pass over its
-  /// pair set via the graph's vertex-major adjacency, and decomposes the
-  /// build into depth-2 prefix tasks scheduled heaviest-first by exact
-  /// level-2 pair-set size. kPerLabel is the pre-fusion engine (per-label
-  /// extension loops, per-root decomposition), kept as the measurable
-  /// baseline. Strategy-selection contract: the computed SelectivityMap
-  /// (and, on failure, the returned status) is bit-identical across both
-  /// strategies, every kernel, and every num_threads — only wall time
-  /// differs. Enforced by tests/fused_selectivity_test.cc.
-  ///
-  /// Memory trade-off: for k >= 3 the fused pre-pass keeps the WHOLE
-  /// level-2 layer of pair sets resident (the prefix tasks' starting
-  /// sets; each is freed as its task completes), where the per-label
-  /// engine holds at most k sets per worker. On graphs where the level-2
-  /// selectivity mass is problematic, set max_pairs_per_prefix (which
-  /// bounds every cell) or fall back to kPerLabel.
-  ExtendStrategy strategy = ExtendStrategy::kFused;
 
   /// Extension-kernel selection (see path/pair_set.h). kAuto (default)
   /// decides per (source group, label) cell with an O(1) cost estimate:
@@ -162,66 +128,48 @@ struct SelectivityOptions {
   /// tests/kernel_selectivity_test.cc.
   PairKernel kernel = PairKernel::kAuto;
 
-  /// Optional progress callback invoked after each length-1 subtree
-  /// completes (i.e., exactly num_labels times, failing roots included).
+  /// Optional progress callback invoked once per root label after its
+  /// whole subtree completes (i.e., exactly num_labels times, failing
+  /// roots included).
   ///
   /// Thread-safety guarantee: invocations are serialized behind an internal
   /// mutex (shared with `label_time`), so the callback may mutate shared
   /// state without its own locking. The COMPLETION ORDER of roots is
-  /// unspecified, except with num_threads == 1 under the per-label
-  /// strategy, where roots complete in ascending label order on the
-  /// calling thread (the fused strategy dispatches a root's prefix tasks
-  /// heaviest-first even serially, so its completion order follows task
-  /// weights).
+  /// unspecified: a root's prefix tasks run heaviest-first, even serially.
   std::function<void(LabelId done_root)> progress;
 
-  /// Optional timing sink: receives each root label's subtree evaluation
-  /// time in milliseconds, immediately before `progress` fires for that
-  /// root. Under the per-label strategy this is the subtree's wall time;
-  /// under the fused strategy it is the SUM of the root's pre-pass span
-  /// and its prefix tasks' spans (which may overlap in wall time when
-  /// parallel). Serialized behind the same mutex as `progress`.
+  /// Optional timing sink: receives each root label's evaluation time in
+  /// milliseconds, immediately before `progress` fires for that root. It
+  /// is the SUM of the root's pre-pass span and its prefix tasks' spans
+  /// (which may overlap in wall time when parallel). Serialized behind the
+  /// same mutex as `progress`.
   std::function<void(LabelId root, double millis)> label_time;
 };
 
 /// \brief The number of independent work items ComputeSelectivities fans
-/// out for a (num_labels, k, strategy) build: num_labels roots for the
-/// per-label strategy, num_labels² depth-2 prefix tasks for the fused
-/// strategy when k >= 3 (below that there is nothing under the prefixes
-/// and the fan-out stays per-root).
-size_t SelectivityTaskCount(size_t num_labels, size_t k,
-                            ExtendStrategy strategy);
+/// out for a (num_labels, k) build: num_labels² depth-2 prefix tasks when
+/// k >= 3, and num_labels roots below that (there is nothing under the
+/// prefixes, so the fan-out stays per-root).
+size_t SelectivityTaskCount(size_t num_labels, size_t k);
 
 /// \brief The worker count ComputeSelectivities actually uses for
 /// `options` on a graph with `num_labels` labels at depth `k`: 0 resolves
 /// to hardware concurrency, then clamps to SelectivityTaskCount (extra
-/// workers would idle). The former min(threads, num_labels) cap applies
-/// only to the per-label strategy; fused builds scale to |L|² workers.
+/// workers would idle).
 size_t ResolvedNumThreads(const SelectivityOptions& options,
                           size_t num_labels, size_t k);
 
-/// \brief Computes f(ℓ) for every ℓ in L_k on `graph`.
+/// \brief Computes f(ℓ) for every ℓ in L_k on `graph`. InvalidArgument
+/// when the graph has no labels, k is out of range, or |L_k| overflows u64
+/// (see PathSpaceSize); ResourceExhausted on a max_pairs_per_prefix
+/// violation.
 Result<SelectivityMap> ComputeSelectivities(
     const Graph& graph, size_t k,
     const SelectivityOptions& options = SelectivityOptions{});
 
-/// \brief Evaluates the subtree of one root label: writes f(ℓ) for every
-/// path ℓ in L_k whose FIRST label is `root` into `map`, leaving all other
-/// entries untouched.
-///
-/// This is the per-label strategy's unit of work: a pure function of
-/// (graph, ctx, root) whose writes are confined to the root's disjoint
-/// canonical-index slices, making concurrent calls on distinct roots with
-/// distinct contexts race-free. `ctx` must have been built for at least
-/// this graph's vertex/label counts and depth k; its prior contents are
-/// irrelevant. `map` must cover space (graph.num_labels(), k).
-Status EvaluateRootSubtree(const Graph& graph, EvalContext& ctx, LabelId root,
-                           size_t k, const SelectivityOptions& options,
-                           SelectivityMap* map);
-
-/// \brief Runs the fused strategy's per-root pre-pass for `root` (Phase A
-/// of the depth-2 decomposition): builds the root's level-1 pair set into
-/// `ctx.levels[1]`, writes the length-1 map entry, and — for k >= 2 with a
+/// \brief Runs the per-root pre-pass for `root` (Phase A of the depth-2
+/// decomposition): builds the root's level-1 pair set into
+/// `ctx.level1`, writes the length-1 map entry, and — for k >= 2 with a
 /// non-empty level — either counts the length-2 leaves directly (k == 2)
 /// or fused-extends into `level2_cells` (an array of num_labels PairSets,
 /// the prefix tasks' starting sets), writing every length-2 entry and
@@ -235,8 +183,8 @@ Status EvaluateRootSubtree(const Graph& graph, EvalContext& ctx, LabelId root,
 /// disjoint canonical-index slices, so concurrent calls on distinct roots
 /// with distinct contexts are race-free.
 ///
-/// Exported (rather than kept a lambda of the fused build) so the
-/// incremental maintenance engine (src/maint/incremental.h) re-runs
+/// Exported (rather than kept a lambda of the build) so the incremental
+/// maintenance engine (src/maint/incremental.h) re-runs
 /// EXACTLY the code path of the full build on dirtied roots — bit-identity
 /// of incremental and full rebuilds is by construction, not by parallel
 /// implementation.
@@ -247,7 +195,7 @@ Status EvaluateFusedRootPrepass(const Graph& graph, EvalContext& ctx,
                                 Status* cell_status);
 
 /// \brief Evaluates one depth-2 prefix task (root, l2) — Phase B of the
-/// fused decomposition: the DFS over every extension of the length-2
+/// decomposition: the DFS over every extension of the length-2
 /// prefix whose (non-empty) pair set is `level2`, writing each
 /// length-3..k entry under the prefix. The subtree's map entries MUST be
 /// zero on entry (the DFS prunes empty children without visiting them) —
@@ -264,16 +212,6 @@ Status EvaluateFusedPrefixTask(const Graph& graph, EvalContext& ctx,
 /// incremental engine calls this on every dirtied task before re-running
 /// it against the patched graph.
 void ZeroPrefixSubtree(LabelId root, LabelId l2, SelectivityMap* map);
-
-/// \brief Evaluates a single path, returning its exact selectivity.
-/// Convenience for spot checks and tests; does not share work across calls.
-Result<uint64_t> EvaluatePathSelectivity(const Graph& graph,
-                                         const LabelPath& path);
-
-/// \brief Materializes the distinct pair set of one path (testing utility).
-/// Pairs are returned as packed (src << 32 | dst), sorted ascending.
-Result<std::vector<uint64_t>> EvaluatePathPairs(const Graph& graph,
-                                                const LabelPath& path);
 
 }  // namespace pathest
 

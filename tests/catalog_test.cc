@@ -240,6 +240,44 @@ TEST_F(CatalogTest, RetiredV1EntryIsQuarantinedByEveryCatalogLoad) {
   std::filesystem::remove_all(dir);
 }
 
+TEST_F(CatalogTest, OversizedPathSpaceEntryIsQuarantined) {
+  // An entry whose |L_k| overflows u64 beside a healthy one: verify must
+  // report it and the serving loader must quarantine it while the sibling
+  // still serves — both used to abort the process.
+  auto dir =
+      std::filesystem::temp_directory_path() / "pathest_catalog_oversized";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  StatisticsCatalog catalog = MakeCatalog();
+  CatalogEntryConfig config;
+  config.ordering = "sum-based";
+  config.num_buckets = 6;
+  ASSERT_TRUE(catalog.BuildEstimator("good", config).ok());
+  ASSERT_TRUE(catalog.SaveAll(dir.string()).ok());
+  std::filesystem::copy_file(testing_util::OversizedPathSpaceFixturePath(),
+                             dir / "huge.stats");
+
+  auto verify = VerifyCatalogDir(dir.string());
+  ASSERT_TRUE(verify.ok());
+  EXPECT_EQ(verify->loaded, std::vector<std::string>{"good"});
+  ASSERT_EQ(verify->failures.size(), 1u);
+  EXPECT_TRUE(
+      testing_util::IsOversizedPathSpaceError(verify->failures[0].status))
+      << verify->failures[0].status.ToString();
+
+  CatalogCache cache;
+  auto served = serve::LoadCatalogSnapshots(dir.string(), 1, &cache);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served->report.loaded, std::vector<std::string>{"good"});
+  ASSERT_EQ(served->report.failures.size(), 1u);
+  EXPECT_TRUE(testing_util::IsOversizedPathSpaceError(
+      served->report.failures[0].status))
+      << served->report.failures[0].status.ToString();
+  EXPECT_EQ(served->snapshots.count("huge"), 0u);
+  EXPECT_EQ(served->snapshots.count("good"), 1u);
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(CatalogTest, LoadAllMissingDirIsNotFound) {
   StatisticsCatalog catalog = MakeCatalog();
   CatalogLoadReport report;

@@ -112,22 +112,45 @@ TEST(ScheduleTest, HeaviestFirstOrderIsAPermutation) {
   EXPECT_TRUE(HeaviestFirstOrder({}).empty());
 }
 
+// Evaluates root `root`'s whole subtree through `ctx` with the build's own
+// primitives: the pre-pass, then every non-empty level-2 prefix task.
+Status EvaluateRoot(const Graph& g, EvalContext& ctx, LabelId root, size_t k,
+                    const SelectivityOptions& options, SelectivityMap* map) {
+  ctx.fused.Bind(g, options.kernel);
+  std::vector<PairSet> level2(g.num_labels());
+  std::vector<Status> cell_status(g.num_labels());
+  PATHEST_RETURN_NOT_OK(EvaluateFusedRootPrepass(
+      g, ctx, root, k, options, map, level2.data(), cell_status.data()));
+  for (LabelId l2 = 0; k >= 3 && l2 < g.num_labels(); ++l2) {
+    if (!cell_status[l2].ok()) return std::move(cell_status[l2]);
+    if (level2[l2].size() == 0) continue;
+    PATHEST_RETURN_NOT_OK(EvaluateFusedPrefixTask(g, ctx, root, l2,
+                                                  level2[l2], k, options,
+                                                  map));
+  }
+  return Status::OK();
+}
+
 TEST(EvalContextTest, RootSubtreeIsPureAndContextReusable) {
   Graph g = SmallGraph();
   const size_t k = 3;
   PathSpace space(g.num_labels(), k);
-  SelectivityOptions options;
+  SelectivityOptions sparse;
+  sparse.kernel = PairKernel::kSparse;
+  SelectivityOptions dense;
+  dense.kernel = PairKernel::kDense;
 
-  // Evaluate every root twice through ONE context; a full fresh evaluation
-  // must agree, proving prior scratch contents don't leak into results.
+  // Evaluate every root twice through ONE context — rebound to another
+  // kernel in between; a full fresh evaluation must agree, proving prior
+  // scratch contents don't leak into results.
   EvalContext ctx(g.num_vertices(), g.num_labels(), k);
   SelectivityMap first(space);
   SelectivityMap second(space);
   for (LabelId root = 0; root < g.num_labels(); ++root) {
-    ASSERT_TRUE(EvaluateRootSubtree(g, ctx, root, k, options, &first).ok());
+    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, sparse, &first).ok());
   }
   for (LabelId root = g.num_labels(); root-- > 0;) {  // reverse order
-    ASSERT_TRUE(EvaluateRootSubtree(g, ctx, root, k, options, &second).ok());
+    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, dense, &second).ok());
   }
   EXPECT_EQ(first.values(), second.values());
 
@@ -147,7 +170,7 @@ TEST(EvalContextTest, OversizedContextEvaluatesSmallerGraph) {
   SelectivityOptions options;
   SelectivityMap map(space);
   for (LabelId root = 0; root < g.num_labels(); ++root) {
-    ASSERT_TRUE(EvaluateRootSubtree(g, ctx, root, k, options, &map).ok());
+    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &map).ok());
   }
   auto reference = ComputeSelectivities(g, k);
   ASSERT_TRUE(reference.ok());
@@ -274,7 +297,7 @@ TEST(EvalContextTest, RootSubtreeWritesOnlyItsSlice) {
 
   const LabelId root = 1;
   SelectivityMap map(space);
-  ASSERT_TRUE(EvaluateRootSubtree(g, ctx, root, k, options, &map).ok());
+  ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &map).ok());
   space.ForEach([&](const LabelPath& p) {
     if (p.label(0) != root) {
       EXPECT_EQ(map.Get(p), 0u) << "foreign-slice write at " << p.ToIdString();

@@ -1,14 +1,18 @@
-// The strategy-selection contract (selectivity.h): the SelectivityMap is
-// bit-identical across strategy ∈ {fused, per-label}, kernel ∈ {auto,
-// sparse, dense}, and num_threads ∈ {1, 2, 4}; the max_pairs_per_prefix
-// abort status is identical too (the fused engine's prefix tasks must
-// reproduce the per-label DFS's first-violation semantics exactly). Also
-// covers the vertex-major view / adjacency-plane backed kernel against the
-// independent EvaluatePathPairs oracle, shallow builds (k = 1, 2) that
-// bypass the prefix tasks, >64-label graphs, task-count resolution, and
-// the once-per-root callback contract under task decomposition.
+// The selectivity engine against the naive reference evaluator
+// (tests/reference/naive_selectivity.h), which shares no code with it: the
+// SelectivityMap must equal the oracle's bit for bit across kernel ∈
+// {auto, sparse, dense} × num_threads ∈ {1, 2, 4} × k ∈ {1, 2, 3, 4}, on
+// sparse, mid-density and near-complete Erdős–Rényi graphs, forest fire,
+// and >64 labels (skewed labels live in scheduler_skew_test.cc), and under
+// every adjacency-plane kind. The max_pairs_per_prefix status must name
+// the oracle's first pre-order violation, with limits placed so that the
+// violation lands at level 1, at level 2 and at level >= 3. Also covers
+// task-count resolution and the once-per-root callback contract under
+// task decomposition.
 
+#include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,10 +21,13 @@
 #include "gen/label_assigner.h"
 #include "graph/graph_builder.h"
 #include "path/selectivity.h"
+#include "reference/naive_selectivity.h"
 #include "test_util.h"
 
 namespace pathest {
 namespace {
+
+using reference::NaiveSelectivity;
 
 Graph ErdosRenyiGraph(size_t num_vertices, size_t num_edges,
                       size_t num_labels, uint64_t seed) {
@@ -44,10 +51,9 @@ Graph ForestFireGraph(size_t num_vertices, size_t num_labels, uint64_t seed) {
   return std::move(g).ValueOrDie();
 }
 
-SelectivityMap Compute(const Graph& g, size_t k, ExtendStrategy strategy,
-                       PairKernel kernel, size_t threads) {
+SelectivityMap Compute(const Graph& g, size_t k, PairKernel kernel,
+                       size_t threads) {
   SelectivityOptions options;
-  options.strategy = strategy;
   options.kernel = kernel;
   options.num_threads = threads;
   auto map = ComputeSelectivities(g, k, options);
@@ -55,20 +61,23 @@ SelectivityMap Compute(const Graph& g, size_t k, ExtendStrategy strategy,
   return std::move(map).ValueOrDie();
 }
 
-// Asserts the full strategy × kernel × threads grid against the per-label
-// sparse serial map.
-void ExpectStrategyInvariance(const Graph& g, size_t k) {
-  const SelectivityMap baseline =
-      Compute(g, k, ExtendStrategy::kPerLabel, PairKernel::kSparse, 1);
-  for (ExtendStrategy strategy :
-       {ExtendStrategy::kFused, ExtendStrategy::kPerLabel}) {
+// Asserts kernel × threads {1, 2, 4} × k ∈ [1, max_k] against the oracle.
+// The canonical layout is length-major, so the L_k map is a prefix of the
+// L_max_k one: the oracle runs once.
+void ExpectMatchesOracle(const Graph& g, size_t max_k) {
+  const std::vector<uint64_t> oracle =
+      NaiveSelectivity(g).AllSelectivities(max_k);
+  for (size_t k = 1; k <= max_k; ++k) {
+    const std::vector<uint64_t> expected(
+        oracle.begin(),
+        oracle.begin() +
+            static_cast<ptrdiff_t>(PathSpace(g.num_labels(), k).size()));
     for (PairKernel kernel :
          {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
       for (size_t threads : {1u, 2u, 4u}) {
-        const SelectivityMap map = Compute(g, k, strategy, kernel, threads);
-        EXPECT_EQ(map.values(), baseline.values())
-            << "strategy=" << ExtendStrategyName(strategy)
-            << " kernel=" << PairKernelName(kernel) << " threads=" << threads;
+        EXPECT_EQ(Compute(g, k, kernel, threads).values(), expected)
+            << "k=" << k << " kernel=" << PairKernelName(kernel)
+            << " threads=" << threads;
       }
     }
   }
@@ -89,13 +98,12 @@ Graph RebuildWithPlane(const Graph& g, PlanePolicy policy,
 
 TEST(FusedSelectivityTest, PlaneKindInvariance) {
   // The plane dimension of the grid: no plane, dense plane, and the hub
-  // plane (forced by a budget the dense plane cannot fit) must all give
-  // bit-identical maps across strategy × kernel × threads — the hub path
-  // falls back to target-list scans per rowless cell, never changing the
-  // computed sets.
+  // plane (forced by a budget the dense plane cannot fit) must all match
+  // the oracle across kernel × threads — the hub path falls back to
+  // target-list scans per rowless cell, never changing the computed sets.
   const Graph base = ErdosRenyiGraph(200, 2400, 3, 29);
-  const SelectivityMap baseline =
-      Compute(base, 3, ExtendStrategy::kPerLabel, PairKernel::kSparse, 1);
+  const std::vector<uint64_t> oracle =
+      NaiveSelectivity(base).AllSelectivities(3);
   const struct {
     PlanePolicy policy;
     size_t budget_bytes;
@@ -114,167 +122,154 @@ TEST(FusedSelectivityTest, PlaneKindInvariance) {
       // The bitmap path must actually be live, not vacuously absent.
       ASSERT_GT(g.AdjacencyBitmaps().num_rows, 0u);
     }
-    for (ExtendStrategy strategy :
-         {ExtendStrategy::kFused, ExtendStrategy::kPerLabel}) {
-      for (PairKernel kernel :
-           {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
-        for (size_t threads : {1u, 2u, 4u}) {
-          const SelectivityMap map = Compute(g, 3, strategy, kernel, threads);
-          EXPECT_EQ(map.values(), baseline.values())
-              << "plane=" << PlaneKindName(c.want)
-              << " strategy=" << ExtendStrategyName(strategy)
-              << " kernel=" << PairKernelName(kernel)
-              << " threads=" << threads;
-        }
+    for (PairKernel kernel :
+         {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
+      for (size_t threads : {1u, 2u, 4u}) {
+        EXPECT_EQ(Compute(g, 3, kernel, threads).values(), oracle)
+            << "plane=" << PlaneKindName(c.want)
+            << " kernel=" << PairKernelName(kernel)
+            << " threads=" << threads;
       }
     }
   }
 }
 
 TEST(FusedSelectivityTest, SparseErdosRenyi) {
-  ExpectStrategyInvariance(ErdosRenyiGraph(300, 600, 4, 13), /*k=*/4);
+  ExpectMatchesOracle(ErdosRenyiGraph(300, 600, 4, 13), /*max_k=*/4);
 }
 
 TEST(FusedSelectivityTest, MidDensityErdosRenyi) {
-  ExpectStrategyInvariance(ErdosRenyiGraph(200, 2400, 3, 29), /*k=*/4);
+  ExpectMatchesOracle(ErdosRenyiGraph(200, 2400, 3, 29), /*max_k=*/4);
 }
 
 TEST(FusedSelectivityTest, DenseErdosRenyi) {
   // Near-complete: the leaf cells run the adjacency-plane row unions.
-  ExpectStrategyInvariance(ErdosRenyiGraph(60, 1500, 3, 7), /*k=*/4);
+  ExpectMatchesOracle(ErdosRenyiGraph(60, 1500, 3, 7), /*max_k=*/4);
 }
 
 TEST(FusedSelectivityTest, ForestFire) {
-  ExpectStrategyInvariance(ForestFireGraph(350, 5, 17), /*k=*/4);
-}
-
-TEST(FusedSelectivityTest, ShallowBuildsBypassPrefixTasks) {
-  // k = 1 and k = 2 complete entirely in the pre-pass (no prefix tasks);
-  // they must still agree with the per-label engine.
-  const Graph g = ForestFireGraph(250, 4, 99);
-  for (size_t k : {1u, 2u}) {
-    ExpectStrategyInvariance(g, k);
-    EXPECT_EQ(SelectivityTaskCount(g.num_labels(), k, ExtendStrategy::kFused),
-              g.num_labels());
-  }
-}
-
-TEST(FusedSelectivityTest, RandomizedSeedSweep) {
-  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
-    ExpectStrategyInvariance(ErdosRenyiGraph(120, 40 * seed * seed, 4, seed),
-                             /*k=*/3);
-    ExpectStrategyInvariance(ForestFireGraph(100 + 30 * seed, 4, seed),
-                             /*k=*/3);
-  }
-}
-
-TEST(FusedSelectivityTest, AgreesWithIndependentPathOracle) {
-  // EvaluatePathPairs shares no code with the fused kernel (per-label
-  // loops, no vertex-major view, no adjacency plane, no incremental
-  // canonical index) — full-domain agreement pins down both the kernel
-  // and the index bookkeeping.
-  const Graph g = ErdosRenyiGraph(120, 1400, 3, 5);
-  const size_t k = 4;
-  const SelectivityMap fused =
-      Compute(g, k, ExtendStrategy::kFused, PairKernel::kAuto, 2);
-  PathSpace space(g.num_labels(), k);
-  space.ForEach([&](const LabelPath& path) {
-    auto pairs = EvaluatePathPairs(g, path);
-    ASSERT_TRUE(pairs.ok()) << path.ToIdString();
-    EXPECT_EQ(pairs->size(), fused.Get(path)) << path.ToIdString();
-  });
+  ExpectMatchesOracle(ForestFireGraph(350, 5, 17), /*max_k=*/4);
 }
 
 TEST(FusedSelectivityTest, MoreThan64LabelsSupported) {
   // Wide label sets exercise the per-label marker/bitset arrays well past
-  // the old 64-label bitmask ceiling; k = 3 exercises the |L|² = 4900
-  // prefix tasks.
+  // the old 64-label bitmask ceiling; k = 3 runs the |L|² = 4900 prefix
+  // tasks. k stops at 3: the L_4 map over 70 labels alone is 24M entries.
   const Graph g = ErdosRenyiGraph(80, 4000, 70, 3);
   ASSERT_EQ(g.num_labels(), 70u);
-  const SelectivityMap baseline =
-      Compute(g, 2, ExtendStrategy::kPerLabel, PairKernel::kSparse, 1);
-  for (size_t threads : {1u, 4u}) {
-    const SelectivityMap map =
-        Compute(g, 2, ExtendStrategy::kFused, PairKernel::kAuto, threads);
-    EXPECT_EQ(map.values(), baseline.values()) << "threads=" << threads;
-  }
-  const SelectivityMap deep_baseline =
-      Compute(g, 3, ExtendStrategy::kPerLabel, PairKernel::kAuto, 1);
-  const SelectivityMap deep =
-      Compute(g, 3, ExtendStrategy::kFused, PairKernel::kAuto, 4);
-  EXPECT_EQ(deep.values(), deep_baseline.values());
+  ExpectMatchesOracle(g, /*max_k=*/3);
 }
 
-TEST(FusedSelectivityTest, AbortStatusIdenticalAcrossStrategies) {
-  // Level-1 violations surface from the fused pre-pass, level-2 ones from
-  // the cell guard, deeper ones from inside prefix tasks; all three must
-  // reproduce the per-label DFS's first-violation path and message.
-  const Graph g = ErdosRenyiGraph(80, 1200, 3, 5);
-  uint64_t level1_max = 0;
-  uint64_t level2_max = 0;
-  for (LabelId a = 0; a < g.num_labels(); ++a) {
-    auto f1 = EvaluatePathSelectivity(g, LabelPath{a});
-    ASSERT_TRUE(f1.ok());
-    level1_max = std::max(level1_max, *f1);
-    for (LabelId b = 0; b < g.num_labels(); ++b) {
-      auto f2 = EvaluatePathSelectivity(g, LabelPath{a, b});
-      ASSERT_TRUE(f2.ok());
-      level2_max = std::max(level2_max, *f2);
-    }
+TEST(FusedSelectivityTest, RandomizedSeedSweep) {
+  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
+    ExpectMatchesOracle(ErdosRenyiGraph(120, 40 * seed * seed, 4, seed),
+                        /*max_k=*/3);
+    ExpectMatchesOracle(ForestFireGraph(100 + 30 * seed, 4, seed),
+                        /*max_k=*/3);
   }
-  // Guards tripping at level 1, level 2, and (when the graph densifies
-  // deeper) strictly below level 2. level1_max - 1 and level2_max - 1 must
-  // fail by construction; for each guard the fused engine must reproduce
-  // the per-label outcome exactly, whatever it is.
-  size_t failures_checked = 0;
-  for (uint64_t guard : {level1_max - 1, level1_max, level2_max - 1,
-                         level2_max}) {
-    SelectivityOptions reference_options;
-    reference_options.strategy = ExtendStrategy::kPerLabel;
-    reference_options.num_threads = 1;
-    reference_options.max_pairs_per_prefix = guard;
-    auto reference = ComputeSelectivities(g, 4, reference_options);
-    if (!reference.ok()) {
-      ASSERT_EQ(reference.status().code(), StatusCode::kResourceExhausted);
-      ++failures_checked;
+}
+
+// Guard limits whose first pre-order violation lands at `level` (levels
+// >= 3 share one bucket). A materialized set larger than every set before
+// it in pre-order is the first violation for every limit in [largest set
+// before it, its size - 1]; both ends of the first such range at `level`
+// are returned (0 means "unlimited", so it is left out). Empty when no
+// limit lands there.
+std::vector<uint64_t> LimitsLandingAt(
+    const std::vector<NaiveSelectivity::Materialized>& preorder,
+    size_t level) {
+  uint64_t max_before = 0;
+  for (const NaiveSelectivity::Materialized& node : preorder) {
+    const size_t bucket = std::min<size_t>(node.path.length(), 3);
+    if (node.pairs > max_before && bucket == level) {
+      std::vector<uint64_t> limits;
+      for (uint64_t limit : {max_before, node.pairs - 1}) {
+        if (limit > 0 && (limits.empty() || limits.back() != limit)) {
+          limits.push_back(limit);
+        }
+      }
+      if (!limits.empty()) return limits;
     }
-    for (size_t threads : {1u, 2u, 4u}) {
-      SelectivityOptions options = reference_options;
-      options.strategy = ExtendStrategy::kFused;
-      options.num_threads = threads;
-      auto result = ComputeSelectivities(g, 4, options);
-      ASSERT_EQ(result.ok(), reference.ok())
-          << "guard=" << guard << " threads=" << threads;
-      if (!reference.ok()) {
-        EXPECT_EQ(result.status().ToString(), reference.status().ToString())
-            << "guard=" << guard << " threads=" << threads;
-      } else {
-        EXPECT_EQ(result->values(), reference->values())
-            << "guard=" << guard << " threads=" << threads;
+    max_before = std::max(max_before, node.pairs);
+  }
+  return {};
+}
+
+TEST(FusedSelectivityTest, GuardStatusMatchesOracleFirstViolation) {
+  // Level-1 violations surface from the pre-pass, level-2 ones from the
+  // cell guard, deeper ones from inside prefix tasks; every one must name
+  // the oracle's first pre-order violation, whatever the kernel or thread
+  // count.
+  const size_t k = 4;
+  const Graph graphs[] = {ErdosRenyiGraph(80, 1200, 3, 5),
+                          ErdosRenyiGraph(200, 2400, 3, 29),
+                          ErdosRenyiGraph(120, 1400, 3, 5)};
+  for (const Graph& g : graphs) {
+    const NaiveSelectivity oracle(g);
+    const std::vector<uint64_t> all = oracle.AllSelectivities(k);
+    const auto preorder = oracle.MaterializedPreorder(k);
+    uint64_t max_pairs = 0;
+    for (const auto& node : preorder) {
+      max_pairs = std::max(max_pairs, node.pairs);
+    }
+    std::vector<uint64_t> limits;
+    for (size_t level : {1u, 2u, 3u}) {
+      const std::vector<uint64_t> landing = LimitsLandingAt(preorder, level);
+      ASSERT_FALSE(landing.empty()) << "no limit lands at level " << level
+                                    << " on |V|=" << g.num_vertices();
+      for (uint64_t limit : landing) {
+        ASSERT_EQ(std::min<size_t>(
+                      oracle.FirstGuardViolation(k, limit)->length(), 3),
+                  level);
+        limits.push_back(limit);
+      }
+    }
+    limits.push_back(max_pairs);  // the largest set fits: no violation
+    for (uint64_t limit : limits) {
+      const auto violation = oracle.FirstGuardViolation(k, limit);
+      for (PairKernel kernel :
+           {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
+        for (size_t threads : {1u, 2u, 4u}) {
+          SelectivityOptions options;
+          options.kernel = kernel;
+          options.num_threads = threads;
+          options.max_pairs_per_prefix = limit;
+          auto result = ComputeSelectivities(g, k, options);
+          const std::string where = "limit=" + std::to_string(limit) +
+                                    " kernel=" + PairKernelName(kernel) +
+                                    " threads=" + std::to_string(threads);
+          if (!violation.has_value()) {
+            ASSERT_TRUE(result.ok()) << where;
+            EXPECT_EQ(result->values(), all) << where;
+            continue;
+          }
+          ASSERT_FALSE(result.ok()) << where;
+          EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+              << where;
+          EXPECT_EQ(result.status().message(),
+                    "pair set exceeds max_pairs_per_prefix at path " +
+                        violation->ToIdString())
+              << where;
+        }
       }
     }
   }
-  EXPECT_GE(failures_checked, 2u);
 }
 
 TEST(FusedSelectivityTest, TaskCountAndThreadResolution) {
-  EXPECT_EQ(SelectivityTaskCount(6, 4, ExtendStrategy::kFused), 36u);
-  EXPECT_EQ(SelectivityTaskCount(6, 2, ExtendStrategy::kFused), 6u);
-  EXPECT_EQ(SelectivityTaskCount(6, 4, ExtendStrategy::kPerLabel), 6u);
+  EXPECT_EQ(SelectivityTaskCount(6, 4), 36u);
+  EXPECT_EQ(SelectivityTaskCount(6, 3), 36u);
+  // k = 1 and k = 2 complete entirely in the pre-pass: one task per root.
+  EXPECT_EQ(SelectivityTaskCount(6, 2), 6u);
+  EXPECT_EQ(SelectivityTaskCount(6, 1), 6u);
 
-  SelectivityOptions fused;
-  fused.strategy = ExtendStrategy::kFused;
-  fused.num_threads = 64;
-  // The per-label |L| clamp is gone: fused builds scale to |L|² workers.
-  EXPECT_EQ(ResolvedNumThreads(fused, 6, 4), 36u);
-  EXPECT_EQ(ResolvedNumThreads(fused, 6, 2), 6u);
-  fused.num_threads = 8;
-  EXPECT_EQ(ResolvedNumThreads(fused, 6, 4), 8u);
-
-  SelectivityOptions per_label;
-  per_label.strategy = ExtendStrategy::kPerLabel;
-  per_label.num_threads = 64;
-  EXPECT_EQ(ResolvedNumThreads(per_label, 6, 4), 6u);
+  SelectivityOptions options;
+  options.num_threads = 64;
+  // Builds scale to |L|² workers.
+  EXPECT_EQ(ResolvedNumThreads(options, 6, 4), 36u);
+  EXPECT_EQ(ResolvedNumThreads(options, 6, 2), 6u);
+  options.num_threads = 8;
+  EXPECT_EQ(ResolvedNumThreads(options, 6, 4), 8u);
 }
 
 TEST(FusedSelectivityTest, ThreadCountAboveTaskCountIsClamped) {
@@ -283,9 +278,7 @@ TEST(FusedSelectivityTest, ThreadCountAboveTaskCountIsClamped) {
   options.num_threads = 64;  // clamped to |L|² internally
   auto map = ComputeSelectivities(g, 3, options);
   ASSERT_TRUE(map.ok());
-  auto baseline = ComputeSelectivities(g, 3);
-  ASSERT_TRUE(baseline.ok());
-  EXPECT_EQ(map->values(), baseline->values());
+  EXPECT_EQ(map->values(), NaiveSelectivity(g).AllSelectivities(3));
 }
 
 TEST(FusedSelectivityTest, ProgressAndLabelTimeFireOncePerRoot) {
@@ -295,7 +288,6 @@ TEST(FusedSelectivityTest, ProgressAndLabelTimeFireOncePerRoot) {
   Graph g = ForestFireGraph(300, 6, 3);
   for (size_t threads : {1u, 4u}) {
     SelectivityOptions options;
-    options.strategy = ExtendStrategy::kFused;
     options.num_threads = threads;
     std::multiset<LabelId> progress_roots;
     std::vector<double> times;
@@ -312,17 +304,6 @@ TEST(FusedSelectivityTest, ProgressAndLabelTimeFireOncePerRoot) {
     }
     EXPECT_EQ(times.size(), g.num_labels());
   }
-}
-
-TEST(FusedSelectivityTest, StrategyParseAndNameRoundTrip) {
-  for (ExtendStrategy strategy :
-       {ExtendStrategy::kFused, ExtendStrategy::kPerLabel}) {
-    auto parsed = ParseExtendStrategy(ExtendStrategyName(strategy));
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, strategy);
-  }
-  EXPECT_FALSE(ParseExtendStrategy("perlabel").ok());
-  EXPECT_FALSE(ParseExtendStrategy("").ok());
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // The bit-identity oracle of the incremental rebuild
 // (maint/incremental.h): for random graphs, random delta batches, and
-// every (k, kernel, strategy, thread count) combination, patching an old
+// every (k, kernel, thread count) combination, patching an old
 // selectivity map with IncrementalSelectivities must equal a full
 // ComputeSelectivities on the patched graph EXACTLY — the maps hold exact
-// uint64 counts, so equality is ==, not approximate. The delta batches
+// uint64 counts, so equality is ==, not approximate — and both must equal
+// the naive reference evaluator's map of the patched graph. The delta batches
 // deliberately cover the awkward shapes: no-op adds of present edges,
 // no-op removes of absent edges, edges landing on brand-new vertices,
 // removals that empty a label's edge list entirely, and add-then-remove
@@ -22,6 +23,7 @@
 #include "graph/graph_io.h"
 #include "maint/incremental.h"
 #include "path/selectivity.h"
+#include "reference/naive_selectivity.h"
 #include "test_util.h"
 
 namespace pathest {
@@ -108,8 +110,8 @@ std::string GraphText(const Graph& graph) {
   return out.str();
 }
 
-// The oracle assertion: incremental(old_map, deltas) == full(patched),
-// bit for bit, across kernels × strategies × thread counts.
+// The oracle assertion: incremental(old_map, deltas) == full(patched) ==
+// naive(patched), bit for bit, across kernels × thread counts.
 void ExpectBitIdentity(const Graph& graph, const std::vector<EdgeDelta>& deltas,
                        size_t k, const std::string& what) {
   SelectivityOptions base;
@@ -117,29 +119,28 @@ void ExpectBitIdentity(const Graph& graph, const std::vector<EdgeDelta>& deltas,
   ASSERT_TRUE(old_map.ok()) << what << ": " << old_map.status().ToString();
   auto patched = PatchGraph(graph, deltas);
   ASSERT_TRUE(patched.ok()) << what << ": " << patched.status().ToString();
+  const std::vector<uint64_t> oracle =
+      reference::NaiveSelectivity(*patched).AllSelectivities(k);
 
   for (PairKernel kernel :
        {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
-    for (ExtendStrategy strategy :
-         {ExtendStrategy::kFused, ExtendStrategy::kPerLabel}) {
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-        SelectivityOptions options;
-        options.kernel = kernel;
-        options.strategy = strategy;
-        options.num_threads = threads;
-        auto full = ComputeSelectivities(*patched, k, options);
-        ASSERT_TRUE(full.ok()) << what;
-        IncrementalStats stats;
-        auto inc =
-            IncrementalSelectivities(*patched, *old_map, deltas, options,
-                                     &stats);
-        ASSERT_TRUE(inc.ok()) << what << ": " << inc.status().ToString();
-        ASSERT_EQ(inc->values(), full->values())
-            << what << " k=" << k << " kernel=" << static_cast<int>(kernel)
-            << " strategy=" << static_cast<int>(strategy)
-            << " threads=" << threads;
-        EXPECT_LE(stats.touched_roots, stats.total_roots) << what;
-      }
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+      SelectivityOptions options;
+      options.kernel = kernel;
+      options.num_threads = threads;
+      auto full = ComputeSelectivities(*patched, k, options);
+      ASSERT_TRUE(full.ok()) << what;
+      ASSERT_EQ(full->values(), oracle)
+          << what << " k=" << k << " kernel=" << static_cast<int>(kernel)
+          << " threads=" << threads;
+      IncrementalStats stats;
+      auto inc = IncrementalSelectivities(*patched, *old_map, deltas,
+                                          options, &stats);
+      ASSERT_TRUE(inc.ok()) << what << ": " << inc.status().ToString();
+      ASSERT_EQ(inc->values(), full->values())
+          << what << " k=" << k << " kernel=" << static_cast<int>(kernel)
+          << " threads=" << threads;
+      EXPECT_LE(stats.touched_roots, stats.total_roots) << what;
     }
   }
 }

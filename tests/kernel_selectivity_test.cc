@@ -1,9 +1,10 @@
 // The kernel-selection contract (selectivity.h): the SelectivityMap is
 // bit-identical across kernel ∈ {auto, sparse, dense} and num_threads ∈
 // {1, 2, 4}, on graphs spanning the density spectrum (sparse Erdős–Rényi
-// through near-complete, plus forest fire), and EvaluatePathPairs agrees
-// with the maps of both forced kernels. Also covers the lifted 64-label
-// ceiling of the leaf pass.
+// through near-complete, plus forest fire), and equal to the naive
+// reference evaluator's (tests/reference/naive_selectivity.h) under both
+// forced kernels. Also covers the lifted 64-label ceiling of the leaf
+// pass and the guard status under every kernel.
 
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "gen/generator.h"
 #include "gen/label_assigner.h"
 #include "path/selectivity.h"
+#include "reference/naive_selectivity.h"
 
 namespace pathest {
 namespace {
@@ -98,23 +100,13 @@ TEST(KernelSelectivityTest, RandomizedSeedSweep) {
   }
 }
 
-TEST(KernelSelectivityTest, EvaluatePathPairsAgreesWithBothKernels) {
+TEST(KernelSelectivityTest, BothKernelsMatchOracle) {
   const Graph g = ErdosRenyiGraph(120, 1400, 3, 5);
   const size_t k = 4;
-  const SelectivityMap sparse = Compute(g, k, PairKernel::kSparse, 1);
-  const SelectivityMap dense = Compute(g, k, PairKernel::kDense, 1);
-  PathSpace space(g.num_labels(), k);
-  space.ForEach([&](const LabelPath& path) {
-    auto pairs = EvaluatePathPairs(g, path);
-    ASSERT_TRUE(pairs.ok()) << path.ToIdString();
-    EXPECT_EQ(pairs->size(), sparse.Get(path)) << path.ToIdString();
-    EXPECT_EQ(pairs->size(), dense.Get(path)) << path.ToIdString();
-    // Packed pairs are sorted and distinct — any dense-kernel emission bug
-    // (duplicate or dropped vertex) would surface here.
-    for (size_t i = 1; i < pairs->size(); ++i) {
-      ASSERT_LT((*pairs)[i - 1], (*pairs)[i]) << path.ToIdString();
-    }
-  });
+  const std::vector<uint64_t> oracle =
+      reference::NaiveSelectivity(g).AllSelectivities(k);
+  EXPECT_EQ(Compute(g, k, PairKernel::kSparse, 1).values(), oracle);
+  EXPECT_EQ(Compute(g, k, PairKernel::kDense, 1).values(), oracle);
 }
 
 TEST(KernelSelectivityTest, MoreThan64LabelsSupported) {
@@ -122,44 +114,39 @@ TEST(KernelSelectivityTest, MoreThan64LabelsSupported) {
   // kernels must now handle arbitrary label counts.
   const Graph g = ErdosRenyiGraph(80, 4000, 70, 3);
   ASSERT_EQ(g.num_labels(), 70u);
-  const SelectivityMap baseline = Compute(g, 2, PairKernel::kSparse, 1);
-  for (PairKernel kernel : {PairKernel::kAuto, PairKernel::kDense}) {
+  const std::vector<uint64_t> oracle =
+      reference::NaiveSelectivity(g).AllSelectivities(2);
+  for (PairKernel kernel :
+       {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
     for (size_t threads : {1u, 4u}) {
-      const SelectivityMap map = Compute(g, 2, kernel, threads);
-      EXPECT_EQ(map.values(), baseline.values())
+      EXPECT_EQ(Compute(g, 2, kernel, threads).values(), oracle)
           << "kernel=" << PairKernelName(kernel) << " threads=" << threads;
-    }
-  }
-  // Spot-check against the independent single-path evaluator.
-  for (LabelId l : {0u, 13u, 37u, 69u}) {
-    for (LabelId m : {5u, 42u, 69u}) {
-      LabelPath path{l, m};
-      auto f = EvaluatePathSelectivity(g, path);
-      ASSERT_TRUE(f.ok());
-      EXPECT_EQ(*f, baseline.Get(path)) << path.ToIdString();
     }
   }
 }
 
 TEST(KernelSelectivityTest, AbortStatusIdenticalAcrossKernels) {
-  // The max_pairs_per_prefix guard must trip at the same path with the same
-  // message whichever kernel produced the oversized pair set.
+  // The max_pairs_per_prefix guard must trip at the oracle's first
+  // violation with the same message whichever kernel produced the
+  // oversized pair set.
   const Graph g = ErdosRenyiGraph(80, 1200, 3, 5);
-  SelectivityOptions base;
-  base.num_threads = 1;
-  base.kernel = PairKernel::kSparse;
-  base.max_pairs_per_prefix = 400;
-  auto reference = ComputeSelectivities(g, 4, base);
-  ASSERT_FALSE(reference.ok());
-  ASSERT_EQ(reference.status().code(), StatusCode::kResourceExhausted);
-  for (PairKernel kernel : {PairKernel::kAuto, PairKernel::kDense}) {
+  const uint64_t limit = 400;
+  const auto violation =
+      reference::NaiveSelectivity(g).FirstGuardViolation(4, limit);
+  ASSERT_TRUE(violation.has_value());
+  for (PairKernel kernel :
+       {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
     for (size_t threads : {1u, 4u}) {
-      SelectivityOptions options = base;
+      SelectivityOptions options;
       options.kernel = kernel;
       options.num_threads = threads;
+      options.max_pairs_per_prefix = limit;
       auto result = ComputeSelectivities(g, 4, options);
       ASSERT_FALSE(result.ok());
-      EXPECT_EQ(result.status().ToString(), reference.status().ToString())
+      EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+      EXPECT_EQ(result.status().message(),
+                "pair set exceeds max_pairs_per_prefix at path " +
+                    violation->ToIdString())
           << "kernel=" << PairKernelName(kernel) << " threads=" << threads;
     }
   }

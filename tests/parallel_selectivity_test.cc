@@ -1,7 +1,8 @@
 // Determinism and failure-semantics tests for the parallel selectivity
 // engine: the SelectivityMap must be bit-identical for every num_threads
-// value, and the max_pairs_per_prefix guard must report the same status
-// under parallelism as it does serially.
+// value, and the max_pairs_per_prefix guard must report the naive
+// reference evaluator's first violation under parallelism as it does
+// serially.
 
 #include <algorithm>
 #include <set>
@@ -12,6 +13,7 @@
 #include "gen/generator.h"
 #include "gen/label_assigner.h"
 #include "path/selectivity.h"
+#include "reference/naive_selectivity.h"
 #include "test_util.h"
 
 namespace pathest {
@@ -72,50 +74,47 @@ TEST(ParallelSelectivityTest, DeterministicOnErdosRenyiDense) {
   ExpectThreadCountInvariance(ErdosRenyiGraph(80, 1200, 3, 5), /*k=*/5);
 }
 
-TEST(ParallelSelectivityTest, MaxPairsAbortMatchesSerialStatus) {
-  Graph g = ErdosRenyiGraph(200, 800, 5, 11);
-  SelectivityOptions serial;
-  serial.num_threads = 1;
-  serial.max_pairs_per_prefix = 50;  // far below the level-1 pair sets
-  auto serial_result = ComputeSelectivities(g, 4, serial);
-  ASSERT_FALSE(serial_result.ok());
-  ASSERT_EQ(serial_result.status().code(), StatusCode::kResourceExhausted);
-
-  for (size_t threads : {2u, 4u, 0u}) {
-    SelectivityOptions options = serial;
+// Asserts that ComputeSelectivities(g, k) under `limit` fails with the
+// oracle's first pre-order violation at every thread count.
+void ExpectGuardStatusMatchesOracle(const Graph& g, size_t k,
+                                    uint64_t limit) {
+  const auto violation =
+      reference::NaiveSelectivity(g).FirstGuardViolation(k, limit);
+  ASSERT_TRUE(violation.has_value()) << "limit=" << limit;
+  for (size_t threads : {1u, 2u, 4u, 0u}) {
+    SelectivityOptions options;
     options.num_threads = threads;
-    auto result = ComputeSelectivities(g, 4, options);
+    options.max_pairs_per_prefix = limit;
+    auto result = ComputeSelectivities(g, k, options);
     ASSERT_FALSE(result.ok()) << "threads=" << threads;
     EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-    // The lowest-id failing root wins regardless of scheduling, so the
-    // message (which names the failing path) is deterministic too.
-    EXPECT_EQ(result.status().ToString(), serial_result.status().ToString())
+    // The first violation wins regardless of scheduling, so the message
+    // (which names the failing path) is deterministic too.
+    EXPECT_EQ(result.status().message(),
+              "pair set exceeds max_pairs_per_prefix at path " +
+                  violation->ToIdString())
         << "threads=" << threads;
   }
+}
+
+TEST(ParallelSelectivityTest, MaxPairsAbortMatchesOracle) {
+  // Far below the level-1 pair sets: the very first root trips.
+  ExpectGuardStatusMatchesOracle(ErdosRenyiGraph(200, 800, 5, 11), 4, 50);
 }
 
 TEST(ParallelSelectivityTest, MaxPairsAbortDeepInTreeUnderParallelism) {
   // A guard high enough to pass level 1 but trip deeper in the DFS, so the
   // abort surfaces from inside worker threads rather than the root setup.
   Graph g = ErdosRenyiGraph(80, 1200, 3, 5);
-  SelectivityOptions serial;
-  serial.num_threads = 1;
   uint64_t level1_max = 0;
   for (LabelId l = 0; l < g.num_labels(); ++l) {
-    auto f = EvaluatePathSelectivity(g, LabelPath{l});
-    ASSERT_TRUE(f.ok());
-    level1_max = std::max(level1_max, *f);
+    level1_max = std::max(level1_max, g.LabelCardinality(l));
   }
-  serial.max_pairs_per_prefix = level1_max;  // level 1 passes, level 2 trips
-  auto serial_result = ComputeSelectivities(g, 4, serial);
-  ASSERT_FALSE(serial_result.ok());
-
-  SelectivityOptions parallel = serial;
-  parallel.num_threads = 4;
-  auto parallel_result = ComputeSelectivities(g, 4, parallel);
-  ASSERT_FALSE(parallel_result.ok());
-  EXPECT_EQ(parallel_result.status().ToString(),
-            serial_result.status().ToString());
+  const auto violation =
+      reference::NaiveSelectivity(g).FirstGuardViolation(4, level1_max);
+  ASSERT_TRUE(violation.has_value());
+  ASSERT_GE(violation->length(), 2u);
+  ExpectGuardStatusMatchesOracle(g, 4, level1_max);
 }
 
 TEST(ParallelSelectivityTest, ProgressAndLabelTimeFireOncePerRoot) {
@@ -143,7 +142,7 @@ TEST(ParallelSelectivityTest, ProgressAndLabelTimeFireOncePerRoot) {
 TEST(ParallelSelectivityTest, ThreadCountAboveLabelCountIsClamped) {
   Graph g = testing_util::SmallGraph();  // 3 labels
   SelectivityOptions options;
-  options.num_threads = 64;  // clamped to |L| internally
+  options.num_threads = 64;  // clamped to the task count internally
   auto map = ComputeSelectivities(g, 3, options);
   ASSERT_TRUE(map.ok());
   auto baseline = ComputeSelectivities(g, 3);

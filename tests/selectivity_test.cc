@@ -9,6 +9,7 @@
 #include "gen/generator.h"
 #include "graph/graph_builder.h"
 #include "path/selectivity.h"
+#include "reference/naive_selectivity.h"
 #include "test_util.h"
 
 namespace pathest {
@@ -16,24 +17,7 @@ namespace {
 
 using testing_util::SmallGraph;
 
-// Reference evaluator: naive DFS over all concrete paths, collecting
-// distinct endpoint pairs.
-uint64_t NaiveSelectivity(const Graph& g, const LabelPath& path) {
-  std::set<std::pair<VertexId, VertexId>> pairs;
-  for (VertexId s = 0; s < g.num_vertices(); ++s) {
-    std::vector<VertexId> frontier = {s};
-    for (size_t i = 0; i < path.length(); ++i) {
-      std::set<VertexId> next;
-      for (VertexId v : frontier) {
-        for (VertexId u : g.OutNeighbors(v, path.label(i))) next.insert(u);
-      }
-      frontier.assign(next.begin(), next.end());
-      if (frontier.empty()) break;
-    }
-    for (VertexId t : frontier) pairs.insert({s, t});
-  }
-  return pairs.size();
-}
+using reference::NaiveSelectivity;
 
 TEST(SelectivityTest, SingleLabelsEqualLabelCardinality) {
   Graph g = SmallGraph();
@@ -64,18 +48,30 @@ TEST(SelectivityTest, HandComputedPaths) {
   EXPECT_EQ(map->Get(LabelPath{b, b}), 0u);
 }
 
-TEST(SelectivityTest, MatchesNaiveOnSmallGraph) {
+TEST(SelectivityTest, OracleMatchesHandComputedPairs) {
+  // Anchors the reference evaluator itself on the hand-checked graph.
+  Graph g = SmallGraph();
+  LabelId a = *g.labels().Find("a");
+  LabelId b = *g.labels().Find("b");
+  LabelId c = *g.labels().Find("c");
+  const NaiveSelectivity oracle(g);
+  using Pairs = NaiveSelectivity::PairSet;
+  EXPECT_EQ(oracle.Pairs(LabelPath{a, b}), (Pairs{{0, 3}}));
+  EXPECT_EQ(oracle.Pairs(LabelPath{b, c}), (Pairs{{1, 0}, {2, 0}}));
+  EXPECT_EQ(oracle.Pairs(LabelPath{a, b, c}), (Pairs{{0, 0}}));
+  EXPECT_EQ(oracle.Pairs(LabelPath{c, a}), (Pairs{{3, 1}, {3, 2}}));
+  EXPECT_TRUE(oracle.Pairs(LabelPath{b, b}).empty());
+}
+
+TEST(SelectivityTest, MatchesOracleOnSmallGraph) {
   Graph g = SmallGraph();
   const size_t k = 4;
   auto map = ComputeSelectivities(g, k);
   ASSERT_TRUE(map.ok());
-  PathSpace space(g.num_labels(), k);
-  space.ForEach([&](const LabelPath& p) {
-    EXPECT_EQ(map->Get(p), NaiveSelectivity(g, p)) << p.ToIdString();
-  });
+  EXPECT_EQ(map->values(), NaiveSelectivity(g).AllSelectivities(k));
 }
 
-TEST(SelectivityTest, MatchesNaiveOnRandomGraphs) {
+TEST(SelectivityTest, MatchesOracleOnRandomGraphs) {
   for (uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     UniformLabelAssigner labels(3);
     ErdosRenyiParams params;
@@ -86,11 +82,8 @@ TEST(SelectivityTest, MatchesNaiveOnRandomGraphs) {
     ASSERT_TRUE(g.ok());
     auto map = ComputeSelectivities(*g, 3);
     ASSERT_TRUE(map.ok());
-    PathSpace space(3, 3);
-    space.ForEach([&](const LabelPath& p) {
-      EXPECT_EQ(map->Get(p), NaiveSelectivity(*g, p))
-          << "seed " << seed << " path " << p.ToIdString();
-    });
+    EXPECT_EQ(map->values(), NaiveSelectivity(*g).AllSelectivities(3))
+        << "seed " << seed;
   }
 }
 
@@ -109,34 +102,28 @@ TEST(SelectivityTest, PrefixMonotoneUpperBound) {
   });
 }
 
-TEST(SelectivityTest, EvaluateSinglePathAgreesWithMap) {
-  Graph g = SmallGraph();
-  auto map = ComputeSelectivities(g, 3);
-  ASSERT_TRUE(map.ok());
-  PathSpace space(g.num_labels(), 3);
-  space.ForEach([&](const LabelPath& p) {
-    auto f = EvaluatePathSelectivity(g, p);
-    ASSERT_TRUE(f.ok());
-    EXPECT_EQ(*f, map->Get(p));
-  });
-}
-
-TEST(SelectivityTest, PairsAreSortedAndDistinct) {
-  Graph g = SmallGraph();
-  LabelId a = *g.labels().Find("a");
-  LabelId b = *g.labels().Find("b");
-  auto pairs = EvaluatePathPairs(g, LabelPath{a, b});
-  ASSERT_TRUE(pairs.ok());
-  ASSERT_EQ(pairs->size(), 1u);
-  EXPECT_EQ((*pairs)[0], (uint64_t{0} << 32) | 3u);
-}
-
 TEST(SelectivityTest, RejectsBadInput) {
   Graph g = SmallGraph();
-  EXPECT_FALSE(EvaluatePathSelectivity(g, LabelPath{}).ok());
-  EXPECT_FALSE(EvaluatePathSelectivity(g, LabelPath{99}).ok());
   EXPECT_FALSE(ComputeSelectivities(g, 0).ok());
   EXPECT_FALSE(ComputeSelectivities(g, kMaxPathLength + 1).ok());
+}
+
+TEST(SelectivityTest, OversizedPathSpaceIsTypedError) {
+  // 2048 labels at k = 6: |L_k| > 2048^6 = 2^66 overflows u64. The build
+  // must refuse before sizing anything, naming |L| and k — it used to
+  // abort inside PathSpace.
+  GraphBuilder builder;
+  for (VertexId v = 0; v < 2048; ++v) {
+    builder.AddEdge(v, "l" + std::to_string(v), v + 1);
+  }
+  auto g = builder.Build();
+  ASSERT_TRUE(g.ok());
+  ASSERT_EQ(g->num_labels(), 2048u);
+  auto map = ComputeSelectivities(*g, 6);
+  ASSERT_FALSE(map.ok());
+  EXPECT_EQ(map.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(map.status().message().find("|L|=2048, k=6"), std::string::npos)
+      << map.status().ToString();
 }
 
 TEST(SelectivityTest, MaxPairsGuardTriggers) {

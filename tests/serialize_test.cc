@@ -459,6 +459,31 @@ TEST(RetiredV1Catalog, V1MagicIsATypedErrorEverywhere) {
             std::string::npos);
 }
 
+// A text entry whose (|L|, k) overflows |L_k| is a corrupt entry, not a
+// crash: every reader refuses it with a typed error naming |L| and k (it
+// used to abort inside PathSpace), and so does the ordering factory.
+TEST(OversizedPathSpace, TextEntryIsATypedError) {
+  const std::string path = testing_util::OversizedPathSpaceFixturePath();
+  auto loaded = LoadPathHistogram(path);
+  EXPECT_TRUE(testing_util::IsOversizedPathSpaceError(loaded.status()))
+      << loaded.status().ToString();
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.is_open()) << path;
+  auto streamed = ReadPathHistogram(&in);
+  EXPECT_TRUE(testing_util::IsOversizedPathSpaceError(streamed.status()))
+      << streamed.status().ToString();
+
+  LabelDictionary labels;
+  for (int i = 0; i < 2048; ++i) labels.Intern("l" + std::to_string(i));
+  const std::vector<uint64_t> cards(2048, 1);
+  auto ordering = MakeOrderingFromStats("num-alph", labels, cards, 6);
+  EXPECT_EQ(ordering.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(ordering.status().message().find("|L|=2048, k=6"),
+            std::string::npos)
+      << ordering.status().ToString();
+  EXPECT_TRUE(MakeOrderingFromStats("num-alph", labels, cards, 5).ok());
+}
+
 TEST(SniffCatalogFormat, DistinguishesFormatsWithoutSlurping) {
   namespace fs = std::filesystem;
   const fs::path dir = fs::temp_directory_path() / "pathest_sniff_test";

@@ -59,6 +59,21 @@ inline std::string RetiredV1FixturePath() {
   return std::string(PATHEST_SOURCE_DIR) + "/tests/golden/catalog_v1.stats";
 }
 
+// A crafted text catalog entry — 2048 labels at k = 6, within the
+// reader's label and k caps — whose |L_k| overflows u64: the fixture of
+// every "oversized path space is a typed error" test.
+inline std::string OversizedPathSpaceFixturePath() {
+  return std::string(PATHEST_SOURCE_DIR) +
+         "/tests/golden/oversized_path_space.stats";
+}
+
+// True when `status` is the typed refusal of OversizedPathSpaceFixturePath:
+// the text reader's IOError naming |L| and k.
+inline bool IsOversizedPathSpaceError(const Status& status) {
+  return status.code() == StatusCode::kIOError &&
+         status.message().find("|L|=2048, k=6") != std::string::npos;
+}
+
 // True when `status` is the typed refusal of a retired v1 catalog: an
 // IOError naming the format and the upgrade command (and NOT the text
 // parser's complaint, which would mean v1 bytes were parsed as text).
