@@ -16,7 +16,8 @@
 // `reload` requests the whole time.
 //
 // --json[=path] writes one JSON object (default BENCH_serve_latency.json)
-// with per-row p50/p99/mean microseconds and aggregate qps.
+// with a host block and per-row p50/p99/mean microseconds and aggregate
+// qps.
 
 #include <algorithm>
 #include <atomic>
@@ -197,6 +198,7 @@ int Run(bool json_mode, const std::string& json_path) {
     return 1;
   }
   std::fprintf(out, "{\n  \"bench\": \"serve_latency\",\n");
+  bench::WriteHostJson(out);
   std::fprintf(out, "  \"requests_per_client\": %zu,\n", requests_per_client);
   std::fprintf(out, "  \"workers\": %zu,\n", options.num_workers);
   std::fprintf(out, "  \"num_labels\": %zu,\n", graph.num_labels());

@@ -5,7 +5,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 
 #include "gen/datasets.h"
 #include "graph/graph.h"
@@ -25,6 +27,37 @@ inline void DieIf(const Status& status, const char* what) {
                  status.ToString().c_str());
     std::exit(1);
   }
+}
+
+// Writes `"host": {...},` — core count, CPU model, compiler and build
+// type (PATHEST_BUILD_TYPE, defined by CMake for every bench) — as one
+// line of a BENCH_*.json object, so a committed row names the machine and
+// build it came from.
+inline void WriteHostJson(std::FILE* out) {
+  std::string cpu = "unknown";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    const size_t value = line.find(": ");
+    if (line.rfind("model name", 0) == 0 && value != std::string::npos) {
+      cpu = line.substr(value + 2);
+      break;
+    }
+  }
+  for (char& c : cpu) {
+    if (c == '"' || c == '\\') c = ' ';
+  }
+#if defined(__clang__)
+  const char* compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  const char* compiler = "g++ " __VERSION__;
+#else
+  const char* compiler = "unknown";
+#endif
+  std::fprintf(out,
+               "  \"host\": {\"nproc\": %u, \"cpu\": \"%s\", "
+               "\"compiler\": \"%s\", \"build_type\": \"%s\"},\n",
+               std::thread::hardware_concurrency(), cpu.c_str(), compiler,
+               PATHEST_BUILD_TYPE);
 }
 
 // Builds a canned dataset at the PATHEST_SCALE env scale (default: the

@@ -82,6 +82,8 @@
 // graph, analyzes it, estimates a few queries) so that it is exercised by
 // simply running the binary.
 
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -184,6 +186,21 @@ Status ParseDepthAndBudget(const std::string& k_text,
   return Status::OK();
 }
 
+// Parses the [scale] positional of generate strictly: a finite number
+// > 0 with no trailing junk, so "0.05x" is an error naming the argument,
+// never a silently truncated scale.
+Result<double> ParseScale(const std::string& text) {
+  double scale = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, scale);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(scale) ||
+      scale <= 0.0) {
+    return Status::InvalidArgument("invalid scale='" + text +
+                                   "' (expected a finite number > 0)");
+  }
+  return scale;
+}
+
 int Fail(const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   return 1;
@@ -249,9 +266,18 @@ int CmdGenerate(const std::vector<std::string>& args) {
   if (args.size() < 2) return Usage();
   auto spec = FindDatasetSpec(args[0]);
   if (!spec.ok()) return Fail(spec.status());
-  double scale = args.size() > 2 ? std::atof(args[2].c_str()) : 1.0;
-  uint64_t seed = args.size() > 3 ? std::strtoull(args[3].c_str(), nullptr, 10)
-                                  : 42;
+  double scale = 1.0;
+  if (args.size() > 2) {
+    auto parsed = ParseScale(args[2]);
+    if (!parsed.ok()) return Fail(parsed.status());
+    scale = *parsed;
+  }
+  uint64_t seed = 42;
+  if (args.size() > 3) {
+    auto parsed = serve::ParseU64Option("seed", args[3]);
+    if (!parsed.ok()) return Fail(parsed.status());
+    seed = *parsed;
+  }
   auto graph = BuildDataset(spec->id, scale, seed);
   if (!graph.ok()) return Fail(graph.status());
   Status st = SaveGraphFile(*graph, args[1]);

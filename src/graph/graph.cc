@@ -25,10 +25,10 @@ LabelId LabelDictionary::Intern(const std::string& name) {
   return id;
 }
 
-Result<LabelId> LabelDictionary::Find(const std::string& name) const {
+Result<LabelId> LabelDictionary::Find(std::string_view name) const {
   auto it = index_.find(name);
   if (it == index_.end()) {
-    return Status::NotFound("unknown edge label: " + name);
+    return Status::NotFound("unknown edge label: " + std::string(name));
   }
   return it->second;
 }

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -83,8 +84,9 @@ class LabelDictionary {
   /// \brief Returns the id for `name`, interning it if new.
   LabelId Intern(const std::string& name);
 
-  /// \brief Id for an existing name, or NotFound.
-  Result<LabelId> Find(const std::string& name) const;
+  /// \brief Id for an existing name, or NotFound. Looks the view up
+  /// directly (no key copy), so it may point into a larger buffer.
+  Result<LabelId> Find(std::string_view name) const;
 
   /// \brief Name of an id. Id must be valid.
   const std::string& Name(LabelId id) const;
@@ -93,8 +95,17 @@ class LabelDictionary {
   const std::vector<std::string>& names() const { return names_; }
 
  private:
+  // Transparent: lets Find hash and compare a string_view against the
+  // std::string keys without materializing a key.
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+
   std::vector<std::string> names_;
-  std::unordered_map<std::string, LabelId> index_;
+  std::unordered_map<std::string, LabelId, NameHash, std::equal_to<>> index_;
 };
 
 /// \brief Immutable directed edge-labeled multigraph with per-label CSR.

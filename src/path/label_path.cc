@@ -74,26 +74,32 @@ std::string LabelPath::ToIdString() const {
   return out.str();
 }
 
-Result<LabelPath> LabelPath::Parse(const std::string& text,
+Result<LabelPath> LabelPath::Parse(std::string_view text,
                                    const LabelDictionary& dict) {
+  if (text.empty()) {
+    return Status::InvalidArgument("empty label path: ''");
+  }
   LabelPath path;
-  std::string token;
-  std::istringstream in(text);
-  while (std::getline(in, token, '/')) {
+  size_t start = 0;
+  for (;;) {
+    // With no '/' left, slash - start still exceeds what remains, and
+    // substr clamps it: the token runs to the end.
+    const size_t slash = text.find('/', start);
+    const std::string_view token = text.substr(start, slash - start);
     if (token.empty()) {
-      return Status::InvalidArgument("empty label in path: '" + text + "'");
+      return Status::InvalidArgument("empty label in path: '" +
+                                     std::string(text) + "'");
     }
     auto id = dict.Find(token);
     if (!id.ok()) return id.status();
     if (path.length() == kMaxPathLength) {
-      return Status::OutOfRange("path longer than kMaxPathLength: " + text);
+      return Status::OutOfRange("path longer than kMaxPathLength: " +
+                                std::string(text));
     }
     path.PushBack(*id);
+    if (slash == std::string_view::npos) return path;
+    start = slash + 1;
   }
-  if (path.empty()) {
-    return Status::InvalidArgument("empty label path: '" + text + "'");
-  }
-  return path;
 }
 
 size_t LabelPath::Hash() const {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "graph/graph.h"
 #include "util/status.h"
@@ -67,8 +68,11 @@ class LabelPath {
   /// \brief Renders label ids as "0/1/2" (debugging).
   std::string ToIdString() const;
 
-  /// \brief Parses "a/b/c" against a dictionary.
-  static Result<LabelPath> Parse(const std::string& text,
+  /// \brief Parses "a/b/c" against a dictionary. Every '/' must separate
+  /// two non-empty labels ("a/", "/a" and "a//b" are InvalidArgument); an
+  /// unknown label is NotFound; more than kMaxPathLength labels is
+  /// OutOfRange. Splits the view in place: no per-label copies.
+  static Result<LabelPath> Parse(std::string_view text,
                                  const LabelDictionary& dict);
 
   /// \brief FNV-style hash for unordered containers.

@@ -1,7 +1,6 @@
 #include "serve/protocol.h"
 
 #include <charconv>
-#include <cstdio>
 
 namespace pathest {
 namespace serve {
@@ -65,9 +64,15 @@ std::string FormatErrorResponse(const Status& status) {
 }
 
 void AppendEstimateValue(std::string* out, double value) {
-  char buf[40];
-  const int n = std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out->append(buf, static_cast<size_t>(n));
+  // The standard defines general-format to_chars at a given precision as
+  // printf's %g at that precision in the C locale, so this is "%.17g"
+  // byte for byte, without snprintf's format parse and locale lookup.
+  // The longest output, "-2.2250738585072014e-308", is 24 bytes.
+  char buf[32];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value,
+                                       std::chars_format::general, 17);
+  PATHEST_CHECK(ec == std::errc{}, "estimate value overflowed its buffer");
+  out->append(buf, end);
 }
 
 Result<uint64_t> ParseU64Option(std::string_view key,

@@ -109,9 +109,10 @@ bool IsRetriableCode(StatusCode code);
 /// (without the trailing '\n'; newlines in the message are sanitized).
 std::string FormatErrorResponse(const Status& status);
 
-/// \brief Appends one estimate value formatted %.17g — enough digits that
-/// the decimal round-trips to the exact double, making responses
-/// bit-comparable against a serial oracle.
+/// \brief Appends one estimate value formatted exactly as printf "%.17g" —
+/// enough digits that the decimal round-trips to the exact double, making
+/// responses bit-comparable against a serial oracle. Allocation-free when
+/// `out` has the capacity.
 void AppendEstimateValue(std::string* out, double value);
 
 /// \brief Parses a non-negative integer option value ("", overflow, or

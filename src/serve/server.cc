@@ -300,8 +300,9 @@ void ServeServer::HandleConnection(UniqueFd conn, RankScratch& scratch) {
     }
     counters_.requests.fetch_add(1, std::memory_order_relaxed);
     bool close_after = false;
-    const std::string response = HandleRequest(line, scratch, &close_after);
-    if (!SendAll(conn.get(), response + "\n")) return;
+    std::string response = HandleRequest(line, scratch, &close_after);
+    response += '\n';
+    if (!SendAll(conn.get(), response)) return;
     if (close_after) return;
   }
 }
@@ -375,7 +376,10 @@ std::string ServeServer::HandleEstimate(const Request& request,
   scratch.Reserve(estimator.num_labels());
 
   const size_t num_paths = request.args.size() - 1;
+  // Room for "ok", one " <value>" of at most 24 bytes per path and the
+  // '\n' HandleConnection appends: one allocation per response.
   std::string response = "ok";
+  response.reserve(3 + num_paths * 25);
   for (size_t i = 0; i < num_paths; ++i) {
     // Deadline enforcement between chunks: a request can exceed its
     // deadline by at most one stride of estimates (~microseconds), never

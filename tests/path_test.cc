@@ -1,6 +1,8 @@
 // Unit tests for LabelPath, PathSpace, and the greedy splitter.
 
 #include <set>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -62,14 +64,83 @@ TEST(LabelPathTest, ParseAndToString) {
   EXPECT_EQ(p->ToString(g.labels()), "a/b/c");
 }
 
-TEST(LabelPathTest, ParseRejectsUnknownLabel) {
+TEST(LabelPathTest, ParseRejectsMalformedPathsWithStableMessages) {
   Graph g = testing_util::SmallGraph();
-  EXPECT_EQ(LabelPath::Parse("a/zz", g.labels()).status().code(),
+  const auto expect_error = [&](std::string_view text, StatusCode code,
+                                const std::string& message) {
+    const Status status = LabelPath::Parse(text, g.labels()).status();
+    EXPECT_EQ(status.code(), code) << text;
+    EXPECT_EQ(status.message(), message) << text;
+  };
+  expect_error("a/zz", StatusCode::kNotFound, "unknown edge label: zz");
+  expect_error("", StatusCode::kInvalidArgument, "empty label path: ''");
+  expect_error("a//b", StatusCode::kInvalidArgument,
+               "empty label in path: 'a//b'");
+  expect_error("/a", StatusCode::kInvalidArgument,
+               "empty label in path: '/a'");
+  expect_error("/", StatusCode::kInvalidArgument, "empty label in path: '/'");
+  // A trailing '/' leaves an empty last label, like any other.
+  expect_error("a/", StatusCode::kInvalidArgument,
+               "empty label in path: 'a/'");
+  expect_error("a/b/", StatusCode::kInvalidArgument,
+               "empty label in path: 'a/b/'");
+}
+
+TEST(LabelPathTest, ParseAcceptsExactlyKMaxPathLengthLabels) {
+  Graph g = testing_util::SmallGraph();
+  std::string text = "a";
+  for (size_t i = 1; i < kMaxPathLength; ++i) text += "/b";
+  auto full = LabelPath::Parse(text, g.labels());
+  ASSERT_TRUE(full.ok()) << full.status().ToString();
+  EXPECT_EQ(full->length(), kMaxPathLength);
+  EXPECT_EQ(full->ToString(g.labels()), text);
+
+  text += "/c";
+  const Status over = LabelPath::Parse(text, g.labels()).status();
+  EXPECT_EQ(over.code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(over.message(), "path longer than kMaxPathLength: " + text);
+}
+
+TEST(LabelPathTest, ParseAndFindReadOnlyTheView) {
+  // Views cut from the middle of a larger buffer, with no NUL after them:
+  // a parser that reads past the view's end would see "bc" or "cx".
+  Graph g = testing_util::SmallGraph();
+  const std::string buffer = "xa/bc/cx";
+  const std::string_view whole(buffer);
+  auto path = LabelPath::Parse(whole.substr(1, 3), g.labels());  // "a/b"
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  EXPECT_EQ(path->ToString(g.labels()), "a/b");
+  path = LabelPath::Parse(whole.substr(4, 3), g.labels());  // "c/c"
+  ASSERT_TRUE(path.ok()) << path.status().ToString();
+  EXPECT_EQ(path->ToString(g.labels()), "c/c");
+  // The same bytes one past the view's end are an unknown label.
+  EXPECT_EQ(LabelPath::Parse(whole.substr(1, 4), g.labels()).status().code(),
             StatusCode::kNotFound);
-  EXPECT_EQ(LabelPath::Parse("", g.labels()).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(LabelPath::Parse("a//b", g.labels()).status().code(),
-            StatusCode::kInvalidArgument);
+
+  auto a = g.labels().Find(whole.substr(1, 1));
+  ASSERT_TRUE(a.ok());
+  EXPECT_EQ(g.labels().Name(*a), "a");
+  auto b = g.labels().Find(whole.substr(3, 1));
+  ASSERT_TRUE(b.ok());
+  EXPECT_EQ(g.labels().Name(*b), "b");
+}
+
+TEST(LabelDictionaryTest, FindMatchesWholeNamesOnly) {
+  LabelDictionary dict;
+  const LabelId ab = dict.Intern("ab");
+  auto found = dict.Find("ab");
+  ASSERT_TRUE(found.ok());
+  EXPECT_EQ(*found, ab);
+  // A prefix or an extension of a known name is a different, unknown name.
+  for (std::string_view name : {"a", "abc", "b", ""}) {
+    const Status status = dict.Find(name).status();
+    EXPECT_EQ(status.code(), StatusCode::kNotFound) << name;
+    EXPECT_EQ(status.message(), "unknown edge label: " + std::string(name));
+  }
+  EXPECT_EQ(LabelPath::Parse("a", dict).status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(LabelPath::Parse("ab/a", dict).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(LabelPathTest, CapacityIsEnforced) {

@@ -9,8 +9,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cmath>
+#include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -90,6 +95,44 @@ TEST(ProtocolTest, EstimateValuesRoundTripExactly) {
     AppendEstimateValue(&s, v);
     EXPECT_EQ(std::stod(s), v) << s;
   }
+}
+
+TEST(ProtocolTest, EstimateValuesMatchPrintfPercent17gByteForByte) {
+  // The wire format is defined as printf "%.17g"; snprintf is the oracle.
+  using Limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, 1.0, -1.0, 0.1, 1.0 / 3.0, 127.76923076923077, 1e300,
+      6.25e-4, 1e17, 1e16, 123456789012345678.0, Limits::denorm_min(),
+      -Limits::denorm_min(), Limits::min(), Limits::max(), -Limits::max(),
+      Limits::epsilon(), Limits::infinity(), -Limits::infinity(),
+      Limits::quiet_NaN(), -Limits::quiet_NaN()};
+  // Dyadic fractions: short exact decimals at every exponent scale.
+  for (int e = -1074; e <= 1023; e += 7) {
+    values.push_back(std::ldexp(1.0, e));
+    values.push_back(std::ldexp(3.0, e - 1));
+  }
+  std::mt19937_64 rng(20240517);
+  for (int i = 0; i < 200000; ++i) {
+    const uint64_t bits = rng();
+    double v = 0.0;
+    std::memcpy(&v, &bits, sizeof(v));
+    values.push_back(v);
+  }
+  size_t mismatches = 0;
+  std::string out = "ok";
+  for (const double v : values) {
+    char expected[40];
+    const int n = std::snprintf(expected, sizeof(expected), "%.17g", v);
+    out.resize(2);
+    AppendEstimateValue(&out, v);
+    if (out.compare(2, std::string::npos, expected,
+                    static_cast<size_t>(n)) != 0 &&
+        ++mismatches <= 5) {
+      ADD_FAILURE() << "got '" << out.substr(2) << "', %.17g gives '"
+                    << expected << "'";
+    }
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << values.size() << " values";
 }
 
 TEST(ProtocolTest, ParseU64OptionValidation) {
@@ -374,6 +417,13 @@ TEST_F(ServeTest, FatalErrorsAreTypedAndKeepTheConnectionOpen) {
   ASSERT_TRUE(bad_path.ok());
   EXPECT_EQ(bad_path->rfind("err InvalidArgument fatal ", 0), 0u) << *bad_path;
 
+  // A trailing '/' is an empty last label, not the path without it.
+  auto trailing = client.Call("estimate alpha a/");
+  ASSERT_TRUE(trailing.ok());
+  EXPECT_EQ(*trailing,
+            "err InvalidArgument fatal bad path 'a/': empty label in path: "
+            "'a/'");
+
   auto bad_cmd = client.Call("frobnicate");
   ASSERT_TRUE(bad_cmd.ok());
   EXPECT_EQ(bad_cmd->rfind("err InvalidArgument fatal ", 0), 0u) << *bad_cmd;
@@ -387,7 +437,7 @@ TEST_F(ServeTest, FatalErrorsAreTypedAndKeepTheConnectionOpen) {
   ASSERT_TRUE(refused.ok());
   EXPECT_EQ(refused->rfind("err InvalidArgument fatal ", 0), 0u) << *refused;
 
-  // Five fatal errors later, the SAME connection still serves. Only the
+  // Six fatal errors later, the SAME connection still serves. Only the
   // malformed REQUESTS (unknown command, bad option, refused slowop)
   // count as invalid; NotFound/bad-path are well-formed requests that
   // failed.
