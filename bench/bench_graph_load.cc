@@ -4,25 +4,25 @@
 // seed path (getline + istringstream per line, global sort via
 // BuildReference). Plain binary, no google-benchmark.
 //
+// Every cell runs one untimed warmup load, then PATHEST_REPS timed loads.
 // --json[=path] writes one JSON object to `path` (default
-// BENCH_graph_load.json): the dataset shape, the seed-path time, one row
-// per thread count in {1, 2, 4} with the per-stage breakdown (read /
-// parse / partition / csr / vertex-major / plane / reverse) and the
-// speedup vs the seed path, and the resulting plane kind/bytes. Every
+// BENCH_graph_load.json): the host block (bench_util.h WriteHostJson), the
+// dataset shape, the seed path's median/min/max, and one row per thread
+// count in {1, 2, 4} with the load time's median/min/max, the speedup of
+// the medians vs the seed path, and the per-stage breakdown (read / parse
+// / partition / csr / vertex-major) of the median-ranked trial. Every
 // row's Graph is asserted BIT-IDENTICAL to the seed path's
 // (Graph::IdenticalTo) — cross-thread determinism is checked in-bench,
-// not assumed. On hosts with fewer cores than a row's thread count the
-// row is still recorded (determinism still validated) and the JSON
-// carries a "determinism-validated, speedup pending multi-core" caveat.
+// not assumed.
 //
 // Scale knobs: PATHEST_SCALE (1.0 = 1.2M edges over 200k vertices),
-// PATHEST_REPS (best-of reps per cell, default 3).
+// PATHEST_REPS (timed trials per cell, default 5).
 
 #include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <string>
-#include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -67,15 +67,15 @@ Result<Graph> SeedReadGraphText(std::istream* in) {
 
 struct ThreadRow {
   size_t threads;
-  double load_ms;
-  GraphLoadStats stats;
+  bench::TrialSpread load;
+  GraphLoadStats stats;  // of the median-ranked trial
   double speedup_vs_seed;
   bool identical;
 };
 
 int Run(bool json_mode, const std::string& json_path) {
   const double scale = ScaleFromEnv();
-  const size_t reps = bench::SizeFromEnv("PATHEST_REPS", 3);
+  const size_t reps = bench::SizeFromEnv("PATHEST_REPS", 5);
 
   ErdosRenyiParams params;
   params.num_vertices = std::max<size_t>(
@@ -91,71 +91,71 @@ int Run(bool json_mode, const std::string& json_path) {
   bench::DieIf(WriteGraphText(*generated, &serialized), "serialization");
   const std::string text = serialized.str();
   std::printf("graph-load: |V|=%zu |E|=%zu |L|=%zu, %.1f MB of text, "
-              "best of %zu reps\n",
+              "1 warmup + %zu timed trials per cell\n",
               generated->num_vertices(), generated->num_edges(),
               generated->num_labels(),
               static_cast<double>(text.size()) / (1024.0 * 1024.0), reps);
 
   // Seed path: line-at-a-time istringstream parse + global-sort build.
-  double seed_ms = 0.0;
+  // Run 0 is the warmup, kept as the graph every row is compared with.
+  std::vector<double> seed_trials;
   Graph seed_graph;
-  for (size_t rep = 0; rep < reps; ++rep) {
+  for (size_t rep = 0; rep <= reps; ++rep) {
     std::istringstream in(text);
     Timer timer;
     auto g = SeedReadGraphText(&in);
     const double ms = timer.ElapsedMillis();
     bench::DieIf(g.status(), "seed-path load");
-    if (rep == 0 || ms < seed_ms) seed_ms = ms;
-    if (rep == 0) seed_graph = std::move(g).ValueOrDie();
+    if (rep == 0) {
+      seed_graph = std::move(g).ValueOrDie();
+    } else {
+      seed_trials.push_back(ms);
+    }
   }
-  std::printf("  seed path (istringstream + global sort): %.1f ms\n",
-              seed_ms);
+  const bench::TrialSpread seed = bench::Spread(seed_trials);
+  std::printf("  seed path (istringstream + global sort): median %.1f ms "
+              "(min %.1f, max %.1f)\n",
+              seed.median_ms, seed.min_ms, seed.max_ms);
 
-  const size_t cores = std::thread::hardware_concurrency();
   std::vector<ThreadRow> rows;
   for (size_t threads : {1u, 2u, 4u}) {
     GraphLoadOptions options;
     options.num_threads = threads;
-    ThreadRow row{threads, 0.0, GraphLoadStats{}, 0.0, false};
-    for (size_t rep = 0; rep < reps; ++rep) {
+    std::vector<std::pair<double, GraphLoadStats>> trials;
+    bool identical = true;
+    for (size_t rep = 0; rep <= reps; ++rep) {
       std::istringstream in(text);
       GraphLoadStats stats;
       Timer timer;
       auto g = ReadGraphText(&in, options, &stats);
       const double ms = timer.ElapsedMillis();
       bench::DieIf(g.status(), "streaming load");
-      if (rep == 0 || ms < row.load_ms) {
-        row.load_ms = ms;
-        row.stats = stats;
-      }
       if (rep == 0) {
-        // Bit-identity vs the seed path, asserted in-bench: CSRs,
-        // vertex-major arrays, and plane all equal at every thread count.
-        row.identical = g->IdenticalTo(seed_graph);
-        PATHEST_CHECK(row.identical, "streaming load differs from seed path");
+        // Bit-identity vs the seed path, asserted in-bench: CSRs and
+        // vertex-major arrays all equal at every thread count.
+        identical = g->IdenticalTo(seed_graph);
+        PATHEST_CHECK(identical, "streaming load differs from seed path");
+      } else {
+        trials.emplace_back(ms, stats);
       }
     }
-    row.speedup_vs_seed = row.load_ms > 0.0 ? seed_ms / row.load_ms : 0.0;
+    std::vector<double> ms;
+    for (const auto& trial : trials) ms.push_back(trial.first);
+    std::sort(trials.begin(), trials.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    ThreadRow row{threads, bench::Spread(ms), trials[trials.size() / 2].second,
+                  0.0, identical};
+    row.speedup_vs_seed =
+        row.load.median_ms > 0.0 ? seed.median_ms / row.load.median_ms : 0.0;
     rows.push_back(row);
-    std::printf("  threads=%zu: %.1f ms (%.2fx vs seed; read %.1f, parse "
-                "%.1f [%zu chunks], build %.1f = partition %.1f + csr %.1f "
-                "+ vm %.1f + plane %.1f), identical=%s\n",
-                threads, row.load_ms, row.speedup_vs_seed, row.stats.read_ms,
-                row.stats.parse_ms, row.stats.num_chunks,
-                row.stats.build.total_ms, row.stats.build.partition_ms,
-                row.stats.build.csr_ms, row.stats.build.vm_ms,
-                row.stats.build.plane_ms, row.identical ? "yes" : "no");
-  }
-  const GraphBuildStats& plane = rows.front().stats.build;
-  std::printf("  plane: kind=%s rows=%zu bytes=%zu hub_threshold=%llu\n",
-              PlaneKindName(plane.plane_kind), plane.plane_rows,
-              plane.plane_bytes,
-              static_cast<unsigned long long>(plane.hub_degree_threshold));
-  const bool multicore = cores >= 4;
-  if (!multicore) {
-    std::printf("  note: %zu hardware core(s) — thread rows are "
-                "determinism-validated, speedup pending multi-core\n",
-                cores);
+    std::printf("  threads=%zu: median %.1f ms (min %.1f, max %.1f; %.2fx vs "
+                "seed; read %.1f, parse %.1f [%zu chunks], build %.1f = "
+                "partition %.1f + csr %.1f + vm %.1f), identical=%s\n",
+                threads, row.load.median_ms, row.load.min_ms, row.load.max_ms,
+                row.speedup_vs_seed, row.stats.read_ms, row.stats.parse_ms,
+                row.stats.num_chunks, row.stats.build.total_ms,
+                row.stats.build.partition_ms, row.stats.build.csr_ms,
+                row.stats.build.vm_ms, row.identical ? "yes" : "no");
   }
 
   if (!json_mode) return 0;
@@ -164,47 +164,39 @@ int Run(bool json_mode, const std::string& json_path) {
     std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
     return 1;
   }
+  std::fprintf(out, "{\n  \"bench\": \"graph_load\",\n");
+  bench::WriteHostJson(out);
   std::fprintf(out,
-               "{\n"
                "  \"dataset\": \"snap-er\",\n"
                "  \"vertices\": %zu,\n"
                "  \"edges\": %zu,\n"
                "  \"labels\": %zu,\n"
                "  \"text_bytes\": %zu,\n"
-               "  \"reps\": %zu,\n"
-               "  \"hardware_cores\": %zu,\n"
-               "  \"seed_path_ms\": %.3f,\n",
+               "  \"warmup_runs\": 1,\n"
+               "  \"trials\": %zu,\n"
+               "  \"seed_path_ms_median\": %.3f,\n"
+               "  \"seed_path_ms_min\": %.3f,\n"
+               "  \"seed_path_ms_max\": %.3f,\n",
                generated->num_vertices(), generated->num_edges(),
-               generated->num_labels(), text.size(), reps, cores, seed_ms);
+               generated->num_labels(), text.size(), reps, seed.median_ms,
+               seed.min_ms, seed.max_ms);
   std::fprintf(out, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const ThreadRow& r = rows[i];
     std::fprintf(
         out,
-        "    {\"threads\": %zu, \"load_ms\": %.3f, \"speedup_vs_seed\": "
-        "%.3f, \"identical_to_seed\": %s, \"read_ms\": %.3f, \"parse_ms\": "
-        "%.3f, \"parse_chunks\": %zu, \"build_ms\": %.3f, \"partition_ms\": "
-        "%.3f, \"csr_ms\": %.3f, \"vertex_major_ms\": %.3f, \"plane_ms\": "
-        "%.3f}%s\n",
-        r.threads, r.load_ms, r.speedup_vs_seed,
-        r.identical ? "true" : "false", r.stats.read_ms, r.stats.parse_ms,
-        r.stats.num_chunks, r.stats.build.total_ms,
+        "    {\"threads\": %zu, \"load_ms_median\": %.3f, \"load_ms_min\": "
+        "%.3f, \"load_ms_max\": %.3f, \"speedup_vs_seed\": %.3f, "
+        "\"identical_to_seed\": %s, \"read_ms\": %.3f, \"parse_ms\": %.3f, "
+        "\"parse_chunks\": %zu, \"build_ms\": %.3f, \"partition_ms\": "
+        "%.3f, \"csr_ms\": %.3f, \"vertex_major_ms\": %.3f}%s\n",
+        r.threads, r.load.median_ms, r.load.min_ms, r.load.max_ms,
+        r.speedup_vs_seed, r.identical ? "true" : "false", r.stats.read_ms,
+        r.stats.parse_ms, r.stats.num_chunks, r.stats.build.total_ms,
         r.stats.build.partition_ms, r.stats.build.csr_ms, r.stats.build.vm_ms,
-        r.stats.build.plane_ms, i + 1 < rows.size() ? "," : "");
+        i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(out, "  ],\n");
-  std::fprintf(out,
-               "  \"plane\": {\"kind\": \"%s\", \"rows\": %zu, \"bytes\": "
-               "%zu, \"hub_degree_threshold\": %llu},\n",
-               PlaneKindName(plane.plane_kind), plane.plane_rows,
-               plane.plane_bytes,
-               static_cast<unsigned long long>(plane.hub_degree_threshold));
-  std::fprintf(out, "  \"caveat\": \"%s\"\n",
-               multicore
-                   ? ""
-                   : "thread rows recorded on a single-core host: "
-                     "determinism-validated, speedup pending multi-core");
-  std::fprintf(out, "}\n");
+  std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", json_path.c_str());
   return 0;

@@ -2,21 +2,20 @@
 // evaluator and of histogram construction, the two build-time costs of the
 // pipeline.
 //
-// The selectivity rows take {k, threads, kernel} (kernel: 0 = auto,
-// 1 = sparse, 2 = dense). The threads=1/kernel=sparse rows are the scalar
+// The selectivity rows take {k, threads}. The threads=1 rows are the serial
 // baseline; every other row's map is asserted bit-identical to it.
 //
 // --json[=path] switches to a machine-readable sweep instead of the
-// google-benchmark console: it times ComputeSelectivities for every
-// (dataset, threads, kernel) cell — best wall time of PATHEST_REPS runs —
-// and writes one JSON array to `path` (default BENCH_selectivity.json),
-// one object per cell: {"dataset", "k", "threads", "kernel", "build_ms"}.
-// Cross-kernel / cross-thread bit-identity of the map is asserted inside
-// the sweep (every cell against the first cell's values). The er-dense
-// dataset is an Erdős–Rényi configuration dense enough that the dense
-// bitmap kernel should win by an integer factor; the printed summary
-// reports the dense-vs-sparse speedup and how close auto tracks the
-// better kernel. Scale knobs: PATHEST_SCALE, PATHEST_REPS, PATHEST_K.
+// google-benchmark console: for every (dataset, threads) cell it runs one
+// untimed warmup build, then PATHEST_REPS (default 5) timed
+// ComputeSelectivities runs, and writes one JSON object to `path` (default
+// BENCH_selectivity.json): the host block (bench_util.h WriteHostJson) and
+// one row per cell with the median, minimum and maximum wall time.
+// Cross-thread bit-identity of the map is asserted inside the sweep (every
+// run against the first run's values). The er-dense dataset is an
+// Erdős–Rényi configuration far denser per (vertex, label) than the paper's
+// graphs; it is kept as the worst case of the epoch-marker kernel. Scale
+// knobs: PATHEST_SCALE, PATHEST_REPS, PATHEST_K.
 
 #include <benchmark/benchmark.h>
 
@@ -49,48 +48,40 @@ const Graph& BenchGraph() {
   return *graph;
 }
 
-// Args: {k, num_threads, kernel}. The threads=1/kernel=sparse rows are the
-// scalar baseline; the parallel-engine speedup is threads=N vs threads=1
-// at equal k, and the kernel speedup is kernel=dense/auto vs
-// kernel=sparse at threads=1. Every row's map is asserted bit-identical
-// to the baseline.
+// Args: {k, num_threads}. The threads=1 rows are the serial baseline; the
+// parallel-engine speedup is threads=N vs threads=1 at equal k. Every
+// row's map is asserted bit-identical to the baseline.
 void BM_ComputeSelectivities(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const size_t threads = static_cast<size_t>(state.range(1));
-  const PairKernel kernel = static_cast<PairKernel>(state.range(2));
   SelectivityOptions options;
   options.num_threads = threads;
-  options.kernel = kernel;
   static std::map<size_t, std::vector<uint64_t>>* baseline_maps =
       new std::map<size_t, std::vector<uint64_t>>();
   for (auto _ : state) {
     auto map = ComputeSelectivities(BenchGraph(), k, options);
     PATHEST_CHECK(map.ok(), "selectivity failed");
     benchmark::DoNotOptimize(map->Total());
-    if (threads == 1 && kernel == PairKernel::kSparse) {
+    if (threads == 1) {
       (*baseline_maps)[k] = map->values();
     } else if (auto it = baseline_maps->find(k); it != baseline_maps->end()) {
       PATHEST_CHECK(it->second == map->values(),
-                    "map differs from the sparse serial baseline");
+                    "map differs from the serial baseline");
     }
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(PathSpace(6, k).size()));
 }
 BENCHMARK(BM_ComputeSelectivities)
-    ->ArgNames({"k", "threads", "kernel"})
-    ->Args({2, 1, 1})
-    ->Args({3, 1, 1})
-    ->Args({4, 1, 1})  // sparse serial baselines first: later rows check
-    ->Args({4, 1, 2})  // against them
-    ->Args({4, 1, 0})
-    ->Args({4, 2, 0})
-    ->Args({4, 4, 0})
-    ->Args({5, 1, 1})
-    ->Args({5, 1, 2})
-    ->Args({5, 1, 0})
-    ->Args({5, 2, 0})
-    ->Args({5, 4, 0})
+    ->ArgNames({"k", "threads"})
+    ->Args({2, 1})
+    ->Args({3, 1})
+    ->Args({4, 1})  // serial baselines first: later rows check against them
+    ->Args({4, 2})
+    ->Args({4, 4})
+    ->Args({5, 1})
+    ->Args({5, 2})
+    ->Args({5, 4})
     ->MeasureProcessCPUTime()
     ->UseRealTime();
 
@@ -139,12 +130,11 @@ void RegisterHistogramBenches() {
 
 // ------------------------------------------------------------- --json mode
 
-// An Erdős–Rényi configuration dense enough that penultimate-level cells
-// run ~30 candidate emissions per bitmap word — the dense kernel's home
-// turf. Density per word FALLS as |V| grows at fixed degree (cells stay
-// ~deg² emissions while the scan is |V|/64 words), so a compact graph is
-// the dense showcase; override with PATHEST_ER_V / PATHEST_ER_DEG to map
-// the crossover (dense ≈ sparse near |V|=8000 at degree 30).
+// An Erdős–Rényi configuration with ~10 out-edges per (vertex, label)
+// cell on a compact vertex set, so penultimate-level groups emit many
+// repeated candidates per distinct target — the epoch-marker kernel's
+// worst case, far from the paper's graphs. Override the shape with
+// PATHEST_ER_V / PATHEST_ER_DEG.
 Graph BuildDenseErGraph(double scale) {
   ErdosRenyiParams params;
   params.num_vertices = std::max<size_t>(
@@ -164,13 +154,12 @@ struct JsonRow {
   std::string dataset;
   size_t k;
   size_t threads;
-  PairKernel kernel;
-  double build_ms;
+  bench::TrialSpread build;
 };
 
 int RunJsonMode(const std::string& out_path) {
   const double scale = ScaleFromEnv();
-  const size_t reps = bench::SizeFromEnv("PATHEST_REPS", 3);
+  const size_t reps = bench::SizeFromEnv("PATHEST_REPS", 5);
 
   struct Config {
     std::string name;
@@ -186,8 +175,6 @@ int RunJsonMode(const std::string& out_path) {
                        bench::SizeFromEnv("PATHEST_K", 4)});
   }
 
-  constexpr PairKernel kKernels[] = {PairKernel::kSparse, PairKernel::kDense,
-                                     PairKernel::kAuto};
   std::vector<JsonRow> rows;
   for (const Config& config : configs) {
     std::printf("%s: |V|=%zu |E|=%zu |L|=%zu k=%zu\n", config.name.c_str(),
@@ -203,42 +190,29 @@ int RunJsonMode(const std::string& out_path) {
 
     std::vector<uint64_t> baseline_values;
     for (size_t threads : thread_counts) {
-      // Indexed by the PairKernel enum value.
-      double ms_cell[3] = {0, 0, 0};
-      for (PairKernel kernel : kKernels) {
-        SelectivityOptions options;
-        options.num_threads = threads;
-        options.kernel = kernel;
-        double best_ms = 0.0;
-        for (size_t rep = 0; rep < reps; ++rep) {
-          Timer timer;
-          auto map = ComputeSelectivities(config.graph, config.k, options);
-          const double ms = timer.ElapsedMillis();
-          bench::DieIf(map.status(), "selectivity computation");
-          if (rep == 0 || ms < best_ms) best_ms = ms;
-          // Cross-kernel / cross-thread identity: every cell's map must
-          // equal the first cell's, bit for bit.
-          if (baseline_values.empty()) {
-            baseline_values = map->values();
-          } else {
-            PATHEST_CHECK(map->values() == baseline_values,
-                          "map differs across kernels/threads");
-          }
+      SelectivityOptions options;
+      options.num_threads = threads;
+      std::vector<double> ms;
+      // Run 0 is the warmup: checked, not timed into the row.
+      for (size_t rep = 0; rep <= reps; ++rep) {
+        Timer timer;
+        auto map = ComputeSelectivities(config.graph, config.k, options);
+        const double elapsed = timer.ElapsedMillis();
+        bench::DieIf(map.status(), "selectivity computation");
+        if (rep > 0) ms.push_back(elapsed);
+        // Cross-thread identity: every run's map must equal the first
+        // run's, bit for bit.
+        if (baseline_values.empty()) {
+          baseline_values = map->values();
+        } else {
+          PATHEST_CHECK(map->values() == baseline_values,
+                        "map differs across threads");
         }
-        rows.push_back({config.name, config.k, threads, kernel, best_ms});
-        ms_cell[static_cast<size_t>(kernel)] = best_ms;
-        std::printf("  threads=%zu kernel=%-6s build_ms=%.3f\n", threads,
-                    PairKernelName(kernel), best_ms);
       }
-      const double auto_ms = ms_cell[0];
-      const double sparse_ms = ms_cell[1];
-      const double dense_ms = ms_cell[2];
-      const double best = std::min(sparse_ms, dense_ms);
-      if (dense_ms > 0 && best > 0) {
-        std::printf(
-            "  threads=%zu summary: dense %.2fx vs sparse, auto/best %.2f\n",
-            threads, sparse_ms / dense_ms, auto_ms / best);
-      }
+      const bench::TrialSpread build = bench::Spread(ms);
+      rows.push_back({config.name, config.k, threads, build});
+      std::printf("  threads=%zu build_ms median=%.3f min=%.3f max=%.3f\n",
+                  threads, build.median_ms, build.min_ms, build.max_ms);
     }
   }
 
@@ -247,16 +221,21 @@ int RunJsonMode(const std::string& out_path) {
     std::fprintf(stderr, "cannot write %s\n", out_path.c_str());
     return 1;
   }
-  std::fprintf(out, "[\n");
+  std::fprintf(out, "{\n  \"bench\": \"selectivity\",\n");
+  bench::WriteHostJson(out);
+  std::fprintf(out, "  \"warmup_runs\": 1,\n  \"trials\": %zu,\n", reps);
+  std::fprintf(out, "  \"rows\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
     const JsonRow& r = rows[i];
     std::fprintf(out,
-                 "  {\"dataset\": \"%s\", \"k\": %zu, \"threads\": %zu, "
-                 "\"kernel\": \"%s\", \"build_ms\": %.3f}%s\n",
-                 r.dataset.c_str(), r.k, r.threads, PairKernelName(r.kernel),
-                 r.build_ms, i + 1 < rows.size() ? "," : "");
+                 "    {\"dataset\": \"%s\", \"k\": %zu, \"threads\": %zu, "
+                 "\"build_ms_median\": %.3f, \"build_ms_min\": %.3f, "
+                 "\"build_ms_max\": %.3f}%s\n",
+                 r.dataset.c_str(), r.k, r.threads, r.build.median_ms,
+                 r.build.min_ms, r.build.max_ms,
+                 i + 1 < rows.size() ? "," : "");
   }
-  std::fprintf(out, "]\n");
+  std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote %zu rows to %s\n", rows.size(), out_path.c_str());
   return 0;

@@ -3,11 +3,13 @@
 #ifndef PATHEST_BENCH_BENCH_UTIL_H_
 #define PATHEST_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "gen/datasets.h"
 #include "graph/graph.h"
@@ -60,6 +62,22 @@ inline void WriteHostJson(std::FILE* out) {
                PATHEST_BUILD_TYPE);
 }
 
+// Median and range of one cell's timed trials (at least one), the spread a
+// committed BENCH row reports beside its central value.
+struct TrialSpread {
+  double median_ms;
+  double min_ms;
+  double max_ms;
+};
+
+inline TrialSpread Spread(std::vector<double> ms) {
+  std::sort(ms.begin(), ms.end());
+  const size_t n = ms.size();
+  const double median =
+      n % 2 == 1 ? ms[n / 2] : (ms[n / 2 - 1] + ms[n / 2]) / 2.0;
+  return TrialSpread{median, ms.front(), ms.back()};
+}
+
 // Builds a canned dataset at the PATHEST_SCALE env scale (default: the
 // paper's full size) and logs its actual shape.
 inline Graph BuildBenchDataset(DatasetId id, uint64_t seed = 42) {
@@ -84,28 +102,15 @@ inline size_t SizeFromEnv(const char* name, size_t def) {
 // fastest build; determinism is unaffected by thread count).
 inline size_t ThreadsFromEnv() { return SizeFromEnv("PATHEST_THREADS", 0); }
 
-// Extension-kernel override for selectivity evaluation: PATHEST_KERNEL env
-// (auto|sparse|dense), default auto. The map is bit-identical across
-// kernels; the knob exists to measure each kernel in isolation.
-inline PairKernel KernelFromEnv() {
-  const char* env = std::getenv("PATHEST_KERNEL");
-  if (env == nullptr || *env == '\0') return PairKernel::kAuto;
-  auto kernel = ParsePairKernel(env);
-  DieIf(kernel.status(), "PATHEST_KERNEL");
-  return *kernel;
-}
-
 // Computes exact selectivities with a progress line per root label.
 // `num_threads` follows SelectivityOptions semantics (0 = hardware) and
-// defaults to the PATHEST_THREADS env override; the extension kernel
-// follows PATHEST_KERNEL.
+// defaults to the PATHEST_THREADS env override.
 inline SelectivityMap ComputeWithProgress(const Graph& graph, size_t k,
                                           const std::string& name,
                                           size_t num_threads = ThreadsFromEnv()) {
   Timer timer;
   SelectivityOptions options;
   options.num_threads = num_threads;
-  options.kernel = KernelFromEnv();
   // Progress callbacks are mutex-serialized by the evaluator, so a plain
   // counter is safe. Count completions rather than echoing the root id:
   // under parallelism roots finish in unspecified order.

@@ -4,8 +4,7 @@
 // integrating the library.
 //
 // Usage:
-//   pathest_cli [--threads N] [--kernel auto|sparse|dense] [--graph G]
-//               <command> ...
+//   pathest_cli [--threads N] [--graph G] <command> ...
 //   pathest_cli generate <dataset> <out.graph> [scale] [seed]
 //   pathest_cli stats <graph-file>
 //   pathest_cli analyze <graph-file> <k> <ordering> <beta> <out.stats>
@@ -22,8 +21,8 @@
 // be "-" to read the edge list from stdin (mirroring estimate's stdin
 // workload mode). Graphs load through the streaming ingest pipeline
 // (chunked from_chars parse + parallel counting-sort build), and the
-// resolved ingest configuration — thread count, chunking, plane kind —
-// is echoed alongside the load, like the selectivity build config.
+// resolved ingest configuration — thread count and chunking — is echoed
+// alongside the load, like the selectivity build config.
 //
 // estimate answers queries through the serving facade (core/estimator.h:
 // scratch fast-path ranking + flat bucket lookup, one EstimateBatch call
@@ -32,14 +31,12 @@
 //
 // --threads N controls the parallel selectivity engine (the dominant cost
 // of analyze/accuracy): N worker threads, 0 = one per hardware core (the
-// default). --kernel forces the pair-set extension kernel (default: auto,
-// a per-group cost-based choice). Results are bit-identical for every
-// thread count and kernel; the flags only change speed. Both are
-// validated up front (a malformed value is an error, not a silent
-// fallback), as are the <k> and <beta> positionals of analyze/accuracy,
-// and the commands that build ground truth echo the RESOLVED
-// configuration — including the post-clamp worker count — in their build
-// report line.
+// default). Results are bit-identical for every thread count; the flag
+// only changes speed. It is validated up front (a malformed value is an
+// error, not a silent fallback), as are the <k> and <beta> positionals of
+// analyze/accuracy, and the commands that build ground truth echo the
+// RESOLVED configuration — including the post-clamp worker count — in
+// their build report line.
 //
 // --format text|binary-v2 picks the on-disk catalog format analyze writes
 // (default text; binary-v2 is the checksummed, page-aligned, mmap-servable
@@ -117,9 +114,6 @@ namespace {
 // hardware core). Shared by every subcommand that computes ground truth.
 size_t g_num_threads = 0;
 
-// Extension-kernel override; set by --kernel (auto = per-group choice).
-PairKernel g_kernel = PairKernel::kAuto;
-
 // On-disk catalog format for analyze's save and catalog convert's target;
 // set by --format. Readers sniff, so there is no corresponding load flag.
 CatalogFormat g_format = CatalogFormat::kText;
@@ -129,7 +123,7 @@ bool g_format_seen = false;
 
 // Loads the graph named by `spec` — a file path, or "-" for stdin —
 // through the streaming ingest pipeline, echoing the resolved ingest
-// configuration (threads actually used, parse chunking, plane kind) the
+// configuration (threads actually used, parse chunking) the
 // same way PrintBuildConfig echoes the selectivity build's.
 Result<Graph> LoadCliGraph(const std::string& spec) {
   GraphLoadOptions options;
@@ -141,12 +135,11 @@ Result<Graph> LoadCliGraph(const std::string& spec) {
   if (graph.ok()) {
     std::printf(
         "graph ingest: %s |V|=%zu |E|=%zu |L|=%zu threads=%zu "
-        "(requested %zu), chunks=%zu, plane=%s, load=%.1fms "
+        "(requested %zu), chunks=%zu, load=%.1fms "
         "(read %.1f, parse %.1f, build %.1f)\n",
         spec == "-" ? "<stdin>" : spec.c_str(), graph->num_vertices(),
         graph->num_edges(), graph->num_labels(), stats.build.num_threads,
-        g_num_threads, stats.num_chunks,
-        PlaneKindName(stats.build.plane_kind), stats.total_ms, stats.read_ms,
+        g_num_threads, stats.num_chunks, stats.total_ms, stats.read_ms,
         stats.parse_ms, stats.build.total_ms);
   }
   return graph;
@@ -155,7 +148,6 @@ Result<Graph> LoadCliGraph(const std::string& spec) {
 SelectivityOptions CliSelectivityOptions() {
   SelectivityOptions options;
   options.num_threads = g_num_threads;
-  options.kernel = g_kernel;
   return options;
 }
 
@@ -165,10 +157,9 @@ SelectivityOptions CliSelectivityOptions() {
 void PrintBuildConfig(const Graph& graph, size_t k) {
   SelectivityOptions options = CliSelectivityOptions();
   std::printf(
-      "selectivity build: threads=%zu (requested %zu), kernel=%s, "
-      "tasks=%zu\n",
+      "selectivity build: threads=%zu (requested %zu), tasks=%zu\n",
       ResolvedNumThreads(options, graph.num_labels(), k), g_num_threads,
-      PairKernelName(g_kernel), SelectivityTaskCount(graph.num_labels(), k));
+      SelectivityTaskCount(graph.num_labels(), k));
 }
 
 // Parses the <k> and <beta> positionals of analyze/accuracy strictly, the
@@ -210,7 +201,7 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  pathest_cli [--threads N] [--kernel K] <command> ...\n"
+      "  pathest_cli [--threads N] [--graph G] <command> ...\n"
       "  pathest_cli generate <dataset> <out.graph> [scale] [seed]\n"
       "  pathest_cli stats <graph-file>\n"
       "  pathest_cli analyze <graph-file> <k> <ordering> <beta> <out.stats>\n"
@@ -254,8 +245,6 @@ int Usage() {
       "be '-' to read the edge list from stdin\n"
       "--threads N: selectivity AND ingest worker threads (0 = hardware "
       "cores, default)\n"
-      "--kernel K: pair-set extension kernel, auto|sparse|dense "
-      "(auto = per-group cost-based choice, default)\n"
       "--format F: catalog format analyze writes / convert targets, "
       "text|binary-v2 (text default; binary-v2 = checksummed, "
       "page-aligned, mmap-servable; readers sniff; binary v1 is retired)\n");
@@ -731,11 +720,9 @@ int main(int argc, char** argv) {
   // via strtoull.
   std::vector<std::string> rest;
   bool threads_seen = false;
-  bool kernel_seen = false;
   bool graph_seen = false;
   bool format_seen = false;
   std::string threads_text;
-  std::string kernel_name;
   std::string graph_spec;
   std::string format_name;
   for (size_t i = 0; i < all.size(); ++i) {
@@ -751,12 +738,6 @@ int main(int argc, char** argv) {
     } else if (all[i].rfind("--graph=", 0) == 0) {
       graph_seen = true;
       graph_spec = all[i].substr(8);
-    } else if (all[i] == "--kernel" && i + 1 < all.size()) {
-      kernel_seen = true;
-      kernel_name = all[++i];
-    } else if (all[i].rfind("--kernel=", 0) == 0) {
-      kernel_seen = true;
-      kernel_name = all[i].substr(9);
     } else if (all[i] == "--format" && i + 1 < all.size()) {
       format_seen = true;
       format_name = all[++i];
@@ -776,11 +757,6 @@ int main(int argc, char** argv) {
           "' (expected a non-negative integer; 0 = hardware cores)"));
     }
     g_num_threads = std::strtoull(threads_text.c_str(), nullptr, 10);
-  }
-  if (kernel_seen) {
-    auto kernel = ParsePairKernel(kernel_name);
-    if (!kernel.ok()) return Fail(kernel.status());
-    g_kernel = *kernel;
   }
   if (format_seen) {
     auto format = ParseCatalogFormat(format_name);
@@ -806,15 +782,10 @@ int main(int argc, char** argv) {
       args.insert(args.begin(), graph_spec);
     }
   }
-  // The engine flags only matter to commands that compute ground truth
-  // (--threads also drives the ingest of a loaded graph); flag a no-op
-  // combination instead of ignoring it silently.
-  if (kernel_seen && cmd != "analyze" && cmd != "accuracy") {
-    std::fprintf(stderr,
-                 "note: --kernel has no effect on '%s' (it configures the "
-                 "selectivity build of analyze/accuracy)\n",
-                 cmd.c_str());
-  } else if (threads_seen && !takes_graph) {
+  // --threads only matters to commands that load a graph (ingest and the
+  // selectivity build); flag a no-op combination instead of ignoring it
+  // silently.
+  if (threads_seen && !takes_graph) {
     std::fprintf(stderr,
                  "note: --threads has no effect on '%s' (it configures "
                  "graph ingest and the selectivity build)\n",

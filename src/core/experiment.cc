@@ -65,7 +65,6 @@ Result<SelectivityBuildResult> MeasureSelectivityBuild(
   if (!map.ok()) return map.status();
   return SelectivityBuildResult{k,
                                 num_threads,
-                                options.kernel,
                                 wall_ms,
                                 std::move(per_label_ms),
                                 std::move(*map)};
@@ -85,19 +84,9 @@ ReportTable GraphIngestReport(const GraphLoadStats& stats) {
   add_stage("build/partition", stats.build.partition_ms);
   add_stage("build/csr", stats.build.csr_ms);
   add_stage("build/vertex-major", stats.build.vm_ms);
-  add_stage("build/plane", stats.build.plane_ms);
   if (stats.build.reverse_ms > 0.0) {
     add_stage("build/reverse", stats.build.reverse_ms);
   }
-  std::string plane = std::string("plane(") +
-                      PlaneKindName(stats.build.plane_kind) + ", " +
-                      std::to_string(stats.build.plane_rows) + " rows, " +
-                      std::to_string(stats.build.plane_bytes) + " B";
-  if (stats.build.plane_kind == PlaneKind::kHub) {
-    plane += ", deg>=" + std::to_string(stats.build.hub_degree_threshold);
-  }
-  plane += ")";
-  table.AddRow({plane, "", ""});
   table.AddRow({"total(wall, " + std::to_string(stats.num_threads) +
                     " thread" + (stats.num_threads == 1 ? "" : "s") + ")",
                 FormatDouble(stats.total_ms, 4), "100"});
@@ -117,8 +106,7 @@ ReportTable SelectivityBuildReport(const Graph& graph,
                   FormatDouble(ms, 4), FormatDouble(share, 3)});
   }
   table.AddRow({"total(wall, " + std::to_string(result.num_threads) +
-                    " thread" + (result.num_threads == 1 ? "" : "s") + ", " +
-                    PairKernelName(result.kernel) + " kernel)",
+                    " thread" + (result.num_threads == 1 ? "" : "s") + ")",
                 std::to_string(graph.num_edges()),
                 FormatDouble(result.wall_ms, 4), "100"});
   return table;

@@ -21,9 +21,8 @@ namespace pathest {
 
 /// \brief Renders one graph load's profile (GraphLoadStats) as a report
 /// table: one row per ingest stage — stream read, chunked parse, and each
-/// Build phase (partition, CSRs, vertex-major, plane, reverse) — with its
-/// share of the end-to-end wall time, plus a plane row (kind, rows,
-/// bytes, hub threshold) and a total row with the thread count.
+/// Build phase (partition, CSRs, vertex-major, reverse) — with its share
+/// of the end-to-end wall time, plus a total row with the thread count.
 ReportTable GraphIngestReport(const GraphLoadStats& stats);
 
 /// \brief Build-time profile of one exact-selectivity computation: the
@@ -36,9 +35,6 @@ struct SelectivityBuildResult {
   /// hardware concurrency, then clamped to the build's task count — |L|²
   /// prefix tasks for k >= 3, |L| roots below).
   size_t num_threads = 1;
-  /// Extension-kernel mode the build ran under (auto/sparse/dense). The
-  /// map is identical across modes; this records what was measured.
-  PairKernel kernel = PairKernel::kAuto;
   /// End-to-end wall time of ComputeSelectivities, milliseconds.
   double wall_ms = 0.0;
   /// Per-root-label evaluation time, indexed by LabelId: the sum of the

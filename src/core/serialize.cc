@@ -555,6 +555,14 @@ Result<LoadedPathHistogram> ReadPathHistogramText(const std::string& content) {
       !domain.ok()) {
     return Status::IOError(domain.status().message());
   }
+  // Likewise a sum-family shape whose stage-three index is too large to
+  // build (see kMaxSumIndexEntries).
+  if (IsSumFamilyOrdering(ordering_name)) {
+    if (const Result<uint64_t> entries = SumStage3EntryCount(num_labels, k);
+        !entries.ok()) {
+      return Status::IOError(entries.status().message());
+    }
+  }
 
   PATHEST_RETURN_NOT_OK(expect_key("cardinalities"));
   std::vector<uint64_t> cards;
@@ -900,6 +908,15 @@ Result<CatalogV2View> ParseCatalogV2(std::string_view bytes,
 
   // ---- sections 5-6: present iff sum family, both or neither.
   view.has_sum_sections = IsSumFamilyOrdering(view.ordering_name);
+  // Refuse a sum-family shape whose index the kFull tier could not
+  // rebuild, nor a kNone ordering scan, in bounded time and memory.
+  if (view.has_sum_sections) {
+    if (const Result<uint64_t> entries =
+            SumStage3EntryCount(num_labels, view.k);
+        !entries.ok()) {
+      return SectionError(kSectionSumIndex, entries.status().message());
+    }
+  }
   const SectionEntry* comp_entry = find_section(kSectionComposition);
   const SectionEntry* index_entry = find_section(kSectionSumIndex);
   if (view.has_sum_sections != (comp_entry != nullptr)) {

@@ -3,8 +3,8 @@
 // tasks.
 //
 // The evaluator's working state is the fused all-labels extender (its
-// per-label bitsets and epoch markers), the root's level-1 pair set, and
-// one block of |L| child pair sets per DFS depth. None of them is
+// per-label epoch markers), the root's level-1 pair set, and one block of
+// |L| child pair sets per DFS depth. None of them is
 // thread-safe, and all of them are expensive to allocate relative to a
 // single DFS step — so the engine owns exactly one EvalContext per worker,
 // allocated once up front, and every root and task dispatched to that
@@ -39,8 +39,8 @@ struct EvalContext {
         blocks(k + 1, std::vector<PairSet>(num_labels)),
         leaf_counts(num_labels, 0) {}
 
-  /// The fused all-labels kernel's scratch (per-label bitsets + epoch
-  /// markers + vertex-major binding); bound once per build.
+  /// The fused all-labels kernel's scratch (per-label epoch markers +
+  /// vertex-major binding); bound once per build.
   FusedExtender fused;
   /// The root's level-1 pair set, built by the pre-pass.
   PairSet level1;

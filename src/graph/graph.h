@@ -26,46 +26,6 @@ using VertexId = uint32_t;
 /// Edge-label identifier; dense in [0, num_labels).
 using LabelId = uint32_t;
 
-/// Byte budget for the per-(vertex, label) adjacency bitmap plane.
-///
-/// Plane-kind decision rule (GraphBuilder::Build, PlanePolicy::kAuto):
-///   1. DENSE — when the full |V|² · |L| / 8-byte plane fits the budget,
-///      every (vertex, label) cell gets a |V|-bit row at the fixed address
-///      rows + (v · |L| + l) · stride_words. Small/medium graphs.
-///   2. HUB — otherwise, rows are materialized only for cells whose
-///      out-degree reaches a graph-deterministic threshold: the smallest
-///      degree T >= ceil(stride_words / kPlaneRowWinFactor) such that all
-///      cells with degree >= T still fit the budget (cells below the floor
-///      never win against their edge-list scan, so they are never
-///      materialized). Rows are addressed through a per-vertex-major-
-///      segment directory (AdjacencyPlane::seg_rows). Million-vertex
-///      graphs keep the fused kernel's word-OR fast path on exactly the
-///      hub cells that dominate its work instead of losing the plane
-///      entirely at the dense cliff.
-///   3. NONE — when not even one hub row fits (or the graph is empty).
-/// The rule depends only on the graph and the budget — never on thread
-/// count — so built planes are bit-identical across ingest parallelism.
-inline constexpr size_t kAdjacencyPlaneMaxBytes = 32 * 1024 * 1024;
-
-/// A plane row beats the per-edge bit-RMW loop when the cell carries at
-/// least stride_words / kPlaneRowWinFactor edges — word-ORs vectorize to
-/// roughly this many per bit-RMW (FusedExtender's row crossover, and the
-/// hub plane's materialization floor).
-inline constexpr uint64_t kPlaneRowWinFactor = 4;
-
-/// \brief Which adjacency-plane representation a graph carries.
-enum class PlaneKind : uint8_t {
-  kNone = 0,   ///< no rows materialized (over budget even for hubs)
-  kDense = 1,  ///< every (vertex, label) cell has a row, direct addressing
-  kHub = 2,    ///< degree-thresholded rows behind a segment directory
-};
-
-/// \brief Stable lowercase name ("none" / "dense" / "hub").
-const char* PlaneKindName(PlaneKind kind);
-
-/// \brief Sentinel in AdjacencyPlane::seg_rows: segment has no bitmap row.
-inline constexpr uint32_t kNoPlaneRow = UINT32_MAX;
-
 /// \brief One directed labeled edge.
 struct Edge {
   VertexId src;
@@ -177,48 +137,11 @@ class Graph {
   /// \brief Checked-once accessor for VertexMajorView.
   VertexMajorView VertexMajor() const;
 
-  /// \brief Borrowed view of the per-(vertex, label) adjacency bitmap
-  /// plane: a row is a |V|-bit bitmap (stride_words 64-bit words) of one
-  /// cell's l-successors.
-  ///
-  /// The plane lets the fused kernel's dense cells union a whole adjacency
-  /// row with stride_words word-ORs (vectorizable) instead of one
-  /// bit-RMW per edge — a win whenever a segment carries at least
-  /// ~stride_words / kPlaneRowWinFactor edges. Addressing depends on kind
-  /// (see the decision rule at kAdjacencyPlaneMaxBytes):
-  ///   * kDense — cell (v, l) is at rows + (v · |L| + l) · stride_words;
-  ///     seg_rows is nullptr.
-  ///   * kHub  — only cells with out-degree >= hub_degree_threshold have
-  ///     rows; vertex-major segment s maps to row seg_rows[s] (kNoPlaneRow
-  ///     when absent), i.e. rows + seg_rows[s] · stride_words. Consumers
-  ///     walking VertexMajorView get the lookup for free; everyone else
-  ///     uses Graph::PlaneRow.
-  ///   * kNone — rows is nullptr, nothing is materialized.
-  /// Derived data, built once per graph; valid while the Graph is alive.
-  struct AdjacencyPlane {
-    const uint64_t* rows;      // nullptr when kind == kNone
-    size_t stride_words;       // ceil(num_vertices / 64)
-    PlaneKind kind;
-    const uint32_t* seg_rows;  // hub only: one entry per vm segment
-    size_t num_rows;           // materialized row count
-    uint64_t hub_degree_threshold;  // hub only: min cell out-degree
-  };
-
-  /// \brief Accessor for the adjacency bitmap plane (kind == kNone and
-  /// rows == nullptr when nothing was materialized).
-  AdjacencyPlane AdjacencyBitmaps() const;
-
-  /// \brief The bitmap row of cell (v, l), or nullptr when that cell has
-  /// none (kNone plane, or a below-threshold cell of a hub plane). O(1)
-  /// for dense planes, O(log segments(v)) for hub planes — convenience
-  /// for tests and cold paths; hot loops use AdjacencyPlane directly.
-  const uint64_t* PlaneRow(VertexId v, LabelId l) const;
-
   /// \brief Deep structural equality: vertex/edge/label counts, label
-  /// names, forward and reverse CSRs, vertex-major arrays, and the plane
-  /// (kind, threshold, directory, and row words). This is the ingest
-  /// determinism contract — builds of the same edge multiset must compare
-  /// equal at every thread count — and is what the build tests assert.
+  /// names, forward and reverse CSRs, and vertex-major arrays. This is the
+  /// ingest determinism contract — builds of the same edge multiset must
+  /// compare equal at every thread count — and is what the build tests
+  /// assert.
   bool IdenticalTo(const Graph& other) const;
 
   /// \brief All edges, materialized in (label, src, dst) order.
@@ -245,14 +168,6 @@ class Graph {
   std::vector<LabelId> vm_seg_labels_;    // one per non-empty (v, l) cell
   std::vector<uint64_t> vm_tgt_offsets_;  // segments + 1
   std::vector<VertexId> vm_targets_;      // num_edges_
-
-  // Adjacency bitmap plane (AdjacencyBitmaps); empty when not even hub
-  // rows fit the byte budget.
-  PlaneKind plane_kind_ = PlaneKind::kNone;
-  std::vector<uint64_t> plane_;
-  size_t plane_stride_words_ = 0;
-  std::vector<uint32_t> plane_seg_rows_;  // hub only: row per vm segment
-  uint64_t hub_degree_threshold_ = 0;     // hub only
 };
 
 }  // namespace pathest

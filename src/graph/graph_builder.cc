@@ -212,102 +212,7 @@ Result<Graph> GraphBuilder::Build(const GraphBuildOptions& options,
   });
   stats.vm_ms = phase.ElapsedMillis();
 
-  // Phase 4 — adjacency bitmap plane, per the decision rule documented at
-  // kAdjacencyPlaneMaxBytes: dense when it fits the budget, else hub rows
-  // for cells whose out-degree crosses a graph-deterministic threshold.
-  phase.Reset();
-  const size_t stride = (num_vertices + 63) / 64;
-  const size_t budget_words = options.plane_budget_bytes / sizeof(uint64_t);
-  // Overflow-proof fit check (the guard exists precisely for huge graphs,
-  // where stride · |V| · |L| would wrap a size_t).
-  const bool dense_fits = num_vertices > 0 && num_labels > 0 &&
-                          stride <= budget_words / num_vertices / num_labels;
-  const bool want_dense =
-      dense_fits && (options.plane == PlanePolicy::kAuto ||
-                     options.plane == PlanePolicy::kDense);
-  const bool want_hub = options.plane == PlanePolicy::kHub ||
-                        (options.plane == PlanePolicy::kAuto && !dense_fits);
-  if (want_dense) {
-    g.plane_kind_ = PlaneKind::kDense;
-    g.plane_stride_words_ = stride;
-    g.plane_.assign(stride * num_vertices * num_labels, 0);
-    pool.ParallelFor(num_chunks, [&](size_t c, size_t) {
-      const size_t begin = c * kVertexChunk;
-      const size_t end = std::min(num_vertices, begin + kVertexChunk);
-      for (size_t v = begin; v < end; ++v) {
-        for (uint64_t s = g.vm_seg_offsets_[v]; s < g.vm_seg_offsets_[v + 1];
-             ++s) {
-          uint64_t* row = g.plane_.data() +
-                          (v * num_labels + g.vm_seg_labels_[s]) * stride;
-          for (uint64_t e = g.vm_tgt_offsets_[s]; e < g.vm_tgt_offsets_[s + 1];
-               ++e) {
-            const VertexId u = g.vm_targets_[e];
-            row[u >> 6] |= uint64_t{1} << (u & 63);
-          }
-        }
-      }
-    });
-  } else if (want_hub && num_segments > 0 && stride > 0 &&
-             budget_words / stride > 0) {
-    const uint64_t rows_budget = budget_words / stride;
-    // Cells below the row-OR crossover would never use their row (the
-    // fused kernel's per-segment seg_len * kPlaneRowWinFactor >= stride
-    // test), so the threshold never drops below that floor.
-    const uint64_t floor_deg = std::max<uint64_t>(
-        1, (stride + kPlaneRowWinFactor - 1) / kPlaneRowWinFactor);
-    std::vector<uint64_t> hist(num_vertices + 1, 0);
-    for (size_t s = 0; s < num_segments; ++s) {
-      ++hist[g.vm_tgt_offsets_[s + 1] - g.vm_tgt_offsets_[s]];
-    }
-    // Smallest threshold T >= floor such that every cell with out-degree
-    // >= T fits the budget: scan degrees descending, accumulating whole
-    // degree classes (ties are all-in or all-out, keeping the choice a
-    // pure function of the degree multiset).
-    uint64_t rows = 0;
-    uint64_t threshold = 0;
-    for (uint64_t d = num_vertices; d >= floor_deg; --d) {
-      if (rows + hist[d] > rows_budget) break;
-      rows += hist[d];
-      threshold = d;
-    }
-    if (rows > 0) {
-      g.plane_kind_ = PlaneKind::kHub;
-      g.plane_stride_words_ = stride;
-      g.hub_degree_threshold_ = threshold;
-      g.plane_seg_rows_.assign(num_segments, kNoPlaneRow);
-      uint32_t next_row = 0;
-      for (size_t s = 0; s < num_segments; ++s) {
-        if (g.vm_tgt_offsets_[s + 1] - g.vm_tgt_offsets_[s] >= threshold) {
-          g.plane_seg_rows_[s] = next_row++;
-        }
-      }
-      g.plane_.assign(static_cast<size_t>(rows) * stride, 0);
-      constexpr size_t kSegmentChunk = 1024;
-      const size_t seg_chunks =
-          (num_segments + kSegmentChunk - 1) / kSegmentChunk;
-      pool.ParallelFor(seg_chunks, [&](size_t c, size_t) {
-        const size_t begin = c * kSegmentChunk;
-        const size_t end = std::min(num_segments, begin + kSegmentChunk);
-        for (size_t s = begin; s < end; ++s) {
-          const uint32_t r = g.plane_seg_rows_[s];
-          if (r == kNoPlaneRow) continue;
-          uint64_t* row = g.plane_.data() + static_cast<size_t>(r) * stride;
-          for (uint64_t e = g.vm_tgt_offsets_[s]; e < g.vm_tgt_offsets_[s + 1];
-               ++e) {
-            const VertexId u = g.vm_targets_[e];
-            row[u >> 6] |= uint64_t{1} << (u & 63);
-          }
-        }
-      });
-    }
-  }
-  stats.plane_kind = g.plane_kind_;
-  stats.plane_bytes = g.plane_.size() * sizeof(uint64_t);
-  stats.plane_rows = stride == 0 ? 0 : g.plane_.size() / stride;
-  stats.hub_degree_threshold = g.hub_degree_threshold_;
-  stats.plane_ms = phase.ElapsedMillis();
-
-  // Phase 5 — reverse CSRs by per-label inversion of the forward CSR.
+  // Phase 4 — reverse CSRs by per-label inversion of the forward CSR.
   // Scattering sources in ascending v order leaves every (dst) bucket
   // already sorted, so no per-bucket sort pass is needed at all.
   if (options.with_reverse) {
@@ -403,27 +308,6 @@ Result<Graph> GraphBuilder::BuildReference(bool with_reverse) {
       g.vm_tgt_offsets_.push_back(g.vm_targets_.size());
     }
     g.vm_seg_offsets_[v + 1] = g.vm_seg_labels_.size();
-  }
-
-  // Adjacency bitmap plane: the seed's dense-or-none rule — one |V|-bit
-  // row per (vertex, label) while |V|²·|L|/8 stays under the cap.
-  {
-    const size_t stride = (num_vertices_ + 63) / 64;
-    const size_t max_words = kAdjacencyPlaneMaxBytes / sizeof(uint64_t);
-    // Overflow-proof cap check (the guard exists precisely for huge
-    // graphs, where stride · |V| · |L| would wrap a size_t).
-    if (num_vertices_ > 0 && num_labels > 0 &&
-        stride <= max_words / num_vertices_ / num_labels) {
-      g.plane_kind_ = PlaneKind::kDense;
-      g.plane_stride_words_ = stride;
-      g.plane_.assign(stride * num_vertices_ * num_labels, 0);
-      for (const Edge& e : edges_) {
-        uint64_t* row =
-            g.plane_.data() +
-            (static_cast<size_t>(e.src) * num_labels + e.label) * stride;
-        row[e.dst >> 6] |= uint64_t{1} << (e.dst & 63);
-      }
-    }
   }
 
   if (with_reverse) {

@@ -11,51 +11,28 @@
 
 namespace pathest {
 
-/// \brief Adjacency-plane materialization policy for GraphBuilder::Build.
-enum class PlanePolicy : uint8_t {
-  kAuto = 0,   ///< dense when it fits the budget, else hub, else none
-  kNone = 1,   ///< never materialize a plane
-  kDense = 2,  ///< dense when it fits the budget, else none (no hub)
-  kHub = 3,    ///< hub plane even when dense would fit (test/measure knob)
-};
-
 /// \brief Options for GraphBuilder::Build.
 struct GraphBuildOptions {
   /// Also materialize in-neighbor CSR structures.
   bool with_reverse = false;
 
   /// Worker threads for the build fan-out (per-label CSR construction,
-  /// vertex-major segment fill, plane-row population). 0 = one per
-  /// hardware core. The built Graph is BIT-IDENTICAL for every value:
-  /// each worker writes disjoint label/vertex slices and every per-cell
-  /// decision is a pure function of the edge multiset (enforced by
-  /// tests/graph_build_test.cc). Builds below kParallelBuildMinEdges
-  /// always run serially — pool spawn costs more than they save.
+  /// vertex-major segment fill, reverse CSRs). 0 = one per hardware core.
+  /// The built Graph is BIT-IDENTICAL for every value: each worker writes
+  /// disjoint label/vertex slices (enforced by tests/graph_build_test.cc).
+  /// Builds below kParallelBuildMinEdges always run serially — pool spawn
+  /// costs more than they save.
   size_t num_threads = 0;
-
-  /// Plane materialization policy (the decision rule documented at
-  /// kAdjacencyPlaneMaxBytes). kAuto for real use; the forcing values
-  /// exist so tests and benches can pin a representation.
-  PlanePolicy plane = PlanePolicy::kAuto;
-
-  /// Byte budget for plane rows (default kAdjacencyPlaneMaxBytes).
-  /// Tests shrink it to force the hub path on small graphs.
-  size_t plane_budget_bytes = kAdjacencyPlaneMaxBytes;
 };
 
-/// \brief Where the wall-clock of one Build went, plus what it decided.
+/// \brief Where the wall-clock of one Build went.
 struct GraphBuildStats {
   size_t num_threads = 1;    ///< resolved worker count actually used
   double partition_ms = 0;   ///< label counting-sort partition of the edges
   double csr_ms = 0;         ///< per-(label, src) bucket sort/dedup + CSRs
   double vm_ms = 0;          ///< vertex-major segment directory + targets
-  double plane_ms = 0;       ///< plane decision + row population
   double reverse_ms = 0;     ///< reverse CSRs (0 unless with_reverse)
   double total_ms = 0;       ///< end-to-end Build wall time
-  PlaneKind plane_kind = PlaneKind::kNone;
-  size_t plane_bytes = 0;    ///< bytes of materialized rows
-  size_t plane_rows = 0;     ///< materialized row count
-  uint64_t hub_degree_threshold = 0;  ///< hub only: min cell out-degree
 };
 
 /// Below this many pending edges Build runs serially regardless of
@@ -101,10 +78,9 @@ class GraphBuilder {
   /// The build is a two-pass counting sort keyed by (label, src): edges
   /// are partitioned by label, then each label's buckets are sorted and
   /// deduplicated independently — per-label CSR fill, vertex-major segment
-  /// construction, plane-row population, and reverse-CSR inversion all fan
-  /// out over an engine ThreadPool with disjoint writes, so the result is
-  /// bit-identical to BuildReference (the seed's global-sort path) at
-  /// every thread count. Does not consume the pending edges: Build may be
+  /// construction, and reverse-CSR inversion all fan out over an engine
+  /// ThreadPool with disjoint writes, so the result is bit-identical to
+  /// BuildReference (the seed's global-sort path) at every thread count. Does not consume the pending edges: Build may be
   /// called again (e.g. with different options).
   Result<Graph> Build(const GraphBuildOptions& options,
                       GraphBuildStats* stats = nullptr);
@@ -113,8 +89,8 @@ class GraphBuilder {
   Result<Graph> Build(bool with_reverse = false);
 
   /// \brief The seed implementation — one global std::sort + unique over
-  /// the full edge list, then single-threaded CSR/vertex-major/plane
-  /// materialization (dense-or-none plane under kAdjacencyPlaneMaxBytes).
+  /// the full edge list, then single-threaded CSR/vertex-major
+  /// materialization.
   /// Kept verbatim as the independently-derived oracle the counting-sort
   /// path is tested and benchmarked against. Sorts the pending edge list
   /// in place (the graph produced by a later Build is unaffected).

@@ -205,7 +205,7 @@ Result<SelectivityMap> IncrementalSelectivities(
   } else {
     contexts.emplace_back(num_vertices, num_labels, k);
   }
-  for (EvalContext& ctx : contexts) ctx.fused.Bind(patched, options.kernel);
+  for (EvalContext& ctx : contexts) ctx.fused.Bind(patched);
   auto parallel_for = [&](size_t n, const ThreadPool::Task& task) {
     if (pool != nullptr) {
       pool->ParallelFor(n, task);

@@ -11,7 +11,7 @@
 // map into precisely the map a full rebuild on the patched graph would
 // produce. Equality is exact (the map holds exact uint64 counts), and the
 // oracle test grid (tests/incremental_test.cc) enforces it bit-for-bit
-// across kernels × strategies × thread counts.
+// across thread counts.
 //
 // Dirtiness analysis. Let D = the set of labels carried by some delta
 // edge, and U = the set of delta-edge SOURCE vertices. Define the

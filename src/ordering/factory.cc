@@ -51,6 +51,12 @@ Result<OrderingPtr> MakeOrderingFromStats(
   // Rejects an out-of-range k or an |L_k| past u64 before PathSpace
   // (whose checks abort) is built.
   PATHEST_RETURN_NOT_OK(PathSpaceSize(dict.size(), k).status());
+  // The sum family's stage-three index (or, without a key scheme, its
+  // block scan) has one entry per label multiset: bound it before any is
+  // built.
+  if (name == "sum-based" || name == "sum-card" || name == "sum-alph") {
+    PATHEST_RETURN_NOT_OK(SumStage3EntryCount(dict.size(), k).status());
+  }
   PathSpace space(dict.size(), k);
   auto ranking = [&](RankingRule rule) {
     return LabelRanking::Make(rule, dict, cardinalities);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -156,6 +157,30 @@ uint64_t SumStage3CellCount(uint64_t num_labels, uint64_t k) {
   uint64_t cells = 0;
   for (uint64_t m = 1; m <= k; ++m) cells += m * num_labels - m + 1;
   return cells;
+}
+
+Result<uint64_t> SumStage3EntryCount(uint64_t num_labels, uint64_t k) {
+  const std::string shape =
+      "|L|=" + std::to_string(num_labels) + ", k=" + std::to_string(k);
+  // C(n, i+1) = C(n, i) * (n - i) / (i + 1) with n = |L| + k, exact at
+  // every step; the product is formed in 128 bits.
+  const unsigned __int128 n = static_cast<unsigned __int128>(num_labels) + k;
+  unsigned __int128 binom = 1;
+  for (uint64_t i = 0; i < k; ++i) {
+    if (__builtin_mul_overflow(binom, n - i, &binom) ||
+        (binom /= i + 1) > UINT64_MAX) {
+      return Status::ResourceExhausted(
+          "sum-based index entry count overflows u64 (" + shape + ")");
+    }
+  }
+  const uint64_t entries = static_cast<uint64_t>(binom) - 1;
+  if (entries > kMaxSumIndexEntries) {
+    return Status::ResourceExhausted(
+        "sum-based index needs " + std::to_string(entries) +
+        " entries, over the limit of " + std::to_string(kMaxSumIndexEntries) +
+        " (" + shape + ")");
+  }
+  return entries;
 }
 
 SumStage3Index BuildSumStage3Index(uint64_t num_labels, uint64_t k) {

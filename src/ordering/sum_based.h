@@ -36,6 +36,7 @@
 #include "ordering/ordering.h"
 #include "ordering/ranking.h"
 #include "util/combinatorics.h"
+#include "util/status.h"
 
 namespace pathest {
 
@@ -156,6 +157,22 @@ SumStage3Index BuildSumStage3Index(uint64_t num_labels, uint64_t k);
 
 /// \brief Number of (m, sr) cells: sum over m of (m*|L| - m + 1).
 uint64_t SumStage3CellCount(uint64_t num_labels, uint64_t k);
+
+/// \brief Largest stage-three entry count a sum-family ordering may have.
+/// Each entry costs 24 bytes of index rows (key, offset, permutation
+/// count), so the index stays near 100 MB at most. 2^22 admits 2048
+/// labels at k = 2, 8 labels at k = 16, and every shape the paper and the
+/// benchmark use (8 labels at k <= 6 need 3002 entries).
+inline constexpr uint64_t kMaxSumIndexEntries = uint64_t{1} << 22;
+
+/// \brief The stage-three entry count of (|L|, k): one block per multiset
+/// of m <= k ranks in [1, |L|], i.e. sum over m of C(|L|+m-1, m) =
+/// C(|L|+k, k) - 1 — also the number of partition blocks the kNone
+/// fallback scans. Computed in O(k) from the closed form, so an absurd
+/// shape is refused before any index is built. ResourceExhausted when the
+/// count overflows u64 or exceeds kMaxSumIndexEntries; the message names
+/// |L| and k.
+Result<uint64_t> SumStage3EntryCount(uint64_t num_labels, uint64_t k);
 
 /// \brief Borrowed view of a SumStage3Index (spans into a mapped catalog).
 struct SumStage3View {

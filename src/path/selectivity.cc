@@ -234,9 +234,9 @@ Result<SelectivityMap> ComputeSelectivities(const Graph& graph, size_t k,
   } else {
     contexts.emplace_back(graph.num_vertices(), num_labels, k);
   }
-  // Graph and kernel are fixed for the whole build: bind each worker's
-  // fused extender once instead of per root/task.
-  for (EvalContext& ctx : contexts) ctx.fused.Bind(graph, options.kernel);
+  // The graph is fixed for the whole build: bind each worker's fused
+  // extender once instead of per root/task.
+  for (EvalContext& ctx : contexts) ctx.fused.Bind(graph);
   auto parallel_for = [&](size_t n, const ThreadPool::Task& task) {
     if (pool != nullptr) {
       pool->ParallelFor(n, task);

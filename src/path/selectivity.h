@@ -21,11 +21,8 @@
 // the next-heaviest pending task. There is one EvalContext per worker and
 // the result is bit-identical for every num_threads value.
 //
-// Kernels: each extension step deduplicates successors with either the
-// sparse epoch-marker kernel or the dense bitmap kernel, chosen per
-// (source group, label) by a cost estimate (see path/pair_set.h).
-// SelectivityOptions::kernel can force one kernel for measurement; the
-// contract is that the choice NEVER changes the computed map, only speed.
+// Kernel: each extension step deduplicates successors with the epoch-marker
+// kernel (see path/pair_set.h).
 //
 // The test suites check this engine against a deliberately naive
 // reference evaluator (tests/reference/), which shares no code with it.
@@ -100,7 +97,7 @@ struct SelectivityOptions {
   /// Every root and task is still evaluated (each stopping at its own
   /// first violation), and the error of the first violation in DFS
   /// pre-order is returned — so the reported status is deterministic and
-  /// independent of num_threads and kernel.
+  /// independent of num_threads.
   uint64_t max_pairs_per_prefix = 0;
 
   /// Number of worker threads for the parallel fan-out. 1 (default) is
@@ -110,23 +107,6 @@ struct SelectivityOptions {
   /// the depth-2 prefix task (root, l2), so useful parallelism reaches |L|²
   /// (see ResolvedNumThreads / SelectivityTaskCount).
   size_t num_threads = 1;
-
-  /// Extension-kernel selection (see path/pair_set.h). kAuto (default)
-  /// decides per (source group, label) cell with an O(1) cost estimate:
-  /// cells whose expected emission count (group size × the label's mean
-  /// degree) covers the cost of a bitmap word scan with margin
-  /// (DenseGroupThreshold) run the dense bitmap kernel, everything else
-  /// the sparse epoch-marker kernel. kSparse / kDense force one kernel
-  /// everywhere — useful only to measure each kernel in isolation
-  /// (pathest_cli --kernel, benches via PATHEST_KERNEL).
-  ///
-  /// Kernel-selection contract: the computed SelectivityMap (and, on
-  /// failure, the returned status) is bit-identical across all three values
-  /// and across every num_threads — kAuto's choice depends only on the
-  /// graph and the prefix's pair set, never on scheduling or prior scratch
-  /// state. Only wall time differs. Enforced by
-  /// tests/kernel_selectivity_test.cc.
-  PairKernel kernel = PairKernel::kAuto;
 
   /// Optional progress callback invoked once per root label after its
   /// whole subtree completes (i.e., exactly num_labels times, failing
@@ -177,9 +157,9 @@ Result<SelectivityMap> ComputeSelectivities(
 /// num_labels Status slots; only violating cells are written). Returns the
 /// root's own guard status (a level-1 violation skips level 2 entirely).
 ///
-/// Preconditions: `ctx.fused` is Bound to (graph, options.kernel); for
-/// k >= 3, `level2_cells` and `cell_status` are non-null; `map` covers
-/// space (graph.num_labels(), k). Writes are confined to the root's
+/// Preconditions: `ctx.fused` is Bound to `graph`; for k >= 3,
+/// `level2_cells` and `cell_status` are non-null; `map` covers space
+/// (graph.num_labels(), k). Writes are confined to the root's
 /// disjoint canonical-index slices, so concurrent calls on distinct roots
 /// with distinct contexts are race-free.
 ///
@@ -200,8 +180,8 @@ Status EvaluateFusedRootPrepass(const Graph& graph, EvalContext& ctx,
 /// length-3..k entry under the prefix. The subtree's map entries MUST be
 /// zero on entry (the DFS prunes empty children without visiting them) —
 /// guaranteed for a freshly-constructed map, restored by ZeroPrefixSubtree
-/// when patching one in place. `ctx.fused` must be Bound to
-/// (graph, options.kernel). Requires k >= 3.
+/// when patching one in place. `ctx.fused` must be Bound to `graph`.
+/// Requires k >= 3.
 Status EvaluateFusedPrefixTask(const Graph& graph, EvalContext& ctx,
                                LabelId root, LabelId l2, const PairSet& level2,
                                size_t k, const SelectivityOptions& options,

@@ -116,7 +116,7 @@ TEST(ScheduleTest, HeaviestFirstOrderIsAPermutation) {
 // primitives: the pre-pass, then every non-empty level-2 prefix task.
 Status EvaluateRoot(const Graph& g, EvalContext& ctx, LabelId root, size_t k,
                     const SelectivityOptions& options, SelectivityMap* map) {
-  ctx.fused.Bind(g, options.kernel);
+  ctx.fused.Bind(g);
   std::vector<PairSet> level2(g.num_labels());
   std::vector<Status> cell_status(g.num_labels());
   PATHEST_RETURN_NOT_OK(EvaluateFusedRootPrepass(
@@ -135,22 +135,19 @@ TEST(EvalContextTest, RootSubtreeIsPureAndContextReusable) {
   Graph g = SmallGraph();
   const size_t k = 3;
   PathSpace space(g.num_labels(), k);
-  SelectivityOptions sparse;
-  sparse.kernel = PairKernel::kSparse;
-  SelectivityOptions dense;
-  dense.kernel = PairKernel::kDense;
+  const SelectivityOptions options;
 
-  // Evaluate every root twice through ONE context — rebound to another
-  // kernel in between; a full fresh evaluation must agree, proving prior
-  // scratch contents don't leak into results.
+  // Evaluate every root twice through ONE context — rebound in between;
+  // a full fresh evaluation must agree, proving prior scratch contents
+  // don't leak into results.
   EvalContext ctx(g.num_vertices(), g.num_labels(), k);
   SelectivityMap first(space);
   SelectivityMap second(space);
   for (LabelId root = 0; root < g.num_labels(); ++root) {
-    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, sparse, &first).ok());
+    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &first).ok());
   }
   for (LabelId root = g.num_labels(); root-- > 0;) {  // reverse order
-    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, dense, &second).ok());
+    ASSERT_TRUE(EvaluateRoot(g, ctx, root, k, options, &second).ok());
   }
   EXPECT_EQ(first.values(), second.values());
 
@@ -161,7 +158,7 @@ TEST(EvalContextTest, RootSubtreeIsPureAndContextReusable) {
 
 TEST(EvalContextTest, OversizedContextEvaluatesSmallerGraph) {
   // The documented reuse contract: a context built for AT MOST some counts
-  // must evaluate any smaller graph — kernel thresholds and the leaf pass
+  // must evaluate any smaller graph — the extender and the leaf pass
   // have to use the graph's real dimensions, not the context capacities.
   Graph g = SmallGraph();
   const size_t k = 3;

@@ -249,6 +249,44 @@ TEST_F(FaultInjectionTest, ForgedHugeBucketCountIsErrorNotOom) {
   }
 }
 
+TEST_F(FaultInjectionTest, OversizedSumIndexShapeFailsTyped) {
+  // A well-formed image whose shape is a sum-based index of C(2053, 5) - 1
+  // ≈ 3·10^14 entries: 2048 labels at k = 5 written under num-alph, then
+  // renamed to the same-length sum-alph (CRC refreshed). The kFull tier
+  // used to start rebuilding that index, and a mapped entry would have
+  // built it on first use; both must refuse the shape at once.
+  LabelDictionary labels;
+  for (int i = 0; i < 2048; ++i) labels.Intern("l" + std::to_string(i));
+  const std::vector<uint64_t> cards(2048, 1);
+  auto ordering = MakeOrderingFromStats("num-alph", labels, cards, 5);
+  ASSERT_TRUE(ordering.ok()) << ordering.status().ToString();
+  const uint64_t domain = (*ordering)->space().size();
+  auto histogram = Histogram::FromBuckets({Bucket{0, domain, 0.0, 0.0}});
+  ASSERT_TRUE(histogram.ok()) << histogram.status().ToString();
+  auto estimator = PathHistogram::FromParts(
+      std::move(*ordering), std::move(*histogram), HistogramType::kVOptimal);
+  ASSERT_TRUE(estimator.ok()) << estimator.status().ToString();
+  std::string image;
+  ASSERT_TRUE(
+      WritePathHistogramBinaryV2(*estimator, labels, cards, &image).ok());
+  const BinarySectionInfo ordering_section =
+      Section(image, binfmt::kSectionOrdering);
+  const size_t name_at = image.find("num-alph", ordering_section.offset);
+  ASSERT_LT(name_at, ordering_section.offset + ordering_section.length);
+  ASSERT_TRUE(PatchSectionPayload(&image, binfmt::kSectionOrdering,
+                                  name_at - ordering_section.offset,
+                                  "sum-alph")
+                  .ok());
+  ExpectTypedFailure(image, "oversized sum-index shape");
+  auto loaded = ReadPathHistogramBinaryV2(image);
+  EXPECT_NE(loaded.status().message().find("sum-based index needs"),
+            std::string::npos)
+      << loaded.status().ToString();
+  EXPECT_NE(loaded.status().message().find("|L|=2048, k=5"),
+            std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST_F(FaultInjectionTest, ForgedLabelCountAndLengthFailTyped) {
   const std::string image = ValidImage();
   {

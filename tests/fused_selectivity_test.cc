@@ -1,16 +1,18 @@
 // The selectivity engine against the naive reference evaluator
 // (tests/reference/naive_selectivity.h), which shares no code with it: the
-// SelectivityMap must equal the oracle's bit for bit across kernel ∈
-// {auto, sparse, dense} × num_threads ∈ {1, 2, 4} × k ∈ {1, 2, 3, 4}, on
-// sparse, mid-density and near-complete Erdős–Rényi graphs, forest fire,
-// and >64 labels (skewed labels live in scheduler_skew_test.cc), and under
-// every adjacency-plane kind. The max_pairs_per_prefix status must name
-// the oracle's first pre-order violation, with limits placed so that the
-// violation lands at level 1, at level 2 and at level >= 3. Also covers
-// task-count resolution and the once-per-root callback contract under
-// task decomposition.
+// SelectivityMap must equal the oracle's bit for bit across num_threads ∈
+// {1, 2, 4} × k ∈ {1, .., max_k}, on sparse, mid-density and
+// near-complete Erdős–Rényi graphs, forest fire (to k = 5), >64 labels
+// (skewed labels live in scheduler_skew_test.cc), and a graph large
+// enough that the extender falls back from per-label markers to emission
+// arenas. The max_pairs_per_prefix status must name the oracle's first
+// pre-order violation, with limits placed so that the violation lands at
+// level 1, at level 2 and at level >= 3. Also covers task-count
+// resolution and the once-per-root callback contract under task
+// decomposition.
 
 #include <algorithm>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -20,6 +22,7 @@
 #include "gen/generator.h"
 #include "gen/label_assigner.h"
 #include "graph/graph_builder.h"
+#include "path/pair_set.h"
 #include "path/selectivity.h"
 #include "reference/naive_selectivity.h"
 #include "test_util.h"
@@ -51,18 +54,16 @@ Graph ForestFireGraph(size_t num_vertices, size_t num_labels, uint64_t seed) {
   return std::move(g).ValueOrDie();
 }
 
-SelectivityMap Compute(const Graph& g, size_t k, PairKernel kernel,
-                       size_t threads) {
+SelectivityMap Compute(const Graph& g, size_t k, size_t threads) {
   SelectivityOptions options;
-  options.kernel = kernel;
   options.num_threads = threads;
   auto map = ComputeSelectivities(g, k, options);
   PATHEST_CHECK(map.ok(), "selectivity computation failed");
   return std::move(map).ValueOrDie();
 }
 
-// Asserts kernel × threads {1, 2, 4} × k ∈ [1, max_k] against the oracle.
-// The canonical layout is length-major, so the L_k map is a prefix of the
+// Asserts threads {1, 2, 4} × k ∈ [1, max_k] against the oracle. The
+// canonical layout is length-major, so the L_k map is a prefix of the
 // L_max_k one: the oracle runs once.
 void ExpectMatchesOracle(const Graph& g, size_t max_k) {
   const std::vector<uint64_t> oracle =
@@ -72,64 +73,9 @@ void ExpectMatchesOracle(const Graph& g, size_t max_k) {
         oracle.begin(),
         oracle.begin() +
             static_cast<ptrdiff_t>(PathSpace(g.num_labels(), k).size()));
-    for (PairKernel kernel :
-         {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
-      for (size_t threads : {1u, 2u, 4u}) {
-        EXPECT_EQ(Compute(g, k, kernel, threads).values(), expected)
-            << "k=" << k << " kernel=" << PairKernelName(kernel)
-            << " threads=" << threads;
-      }
-    }
-  }
-}
-
-// Rebuilds `g`'s edge multiset under a forced plane policy/budget.
-Graph RebuildWithPlane(const Graph& g, PlanePolicy policy,
-                       size_t budget_bytes) {
-  GraphBuilder builder;
-  builder.Adopt(g.labels(), g.CollectEdges(), g.num_vertices());
-  GraphBuildOptions options;
-  options.plane = policy;
-  options.plane_budget_bytes = budget_bytes;
-  auto built = builder.Build(options);
-  PATHEST_CHECK(built.ok(), "plane rebuild failed");
-  return std::move(built).ValueOrDie();
-}
-
-TEST(FusedSelectivityTest, PlaneKindInvariance) {
-  // The plane dimension of the grid: no plane, dense plane, and the hub
-  // plane (forced by a budget the dense plane cannot fit) must all match
-  // the oracle across kernel × threads — the hub path falls back to
-  // target-list scans per rowless cell, never changing the computed sets.
-  const Graph base = ErdosRenyiGraph(200, 2400, 3, 29);
-  const std::vector<uint64_t> oracle =
-      NaiveSelectivity(base).AllSelectivities(3);
-  const struct {
-    PlanePolicy policy;
-    size_t budget_bytes;
-    PlaneKind want;
-  } cases[] = {
-      {PlanePolicy::kNone, kAdjacencyPlaneMaxBytes, PlaneKind::kNone},
-      {PlanePolicy::kDense, kAdjacencyPlaneMaxBytes, PlaneKind::kDense},
-      // 1 KiB cannot hold the 19200-byte dense plane, so kAuto goes hub.
-      {PlanePolicy::kAuto, 1024, PlaneKind::kHub},
-      {PlanePolicy::kHub, kAdjacencyPlaneMaxBytes, PlaneKind::kHub},
-  };
-  for (const auto& c : cases) {
-    const Graph g = RebuildWithPlane(base, c.policy, c.budget_bytes);
-    ASSERT_EQ(g.AdjacencyBitmaps().kind, c.want);
-    if (c.want == PlaneKind::kHub) {
-      // The bitmap path must actually be live, not vacuously absent.
-      ASSERT_GT(g.AdjacencyBitmaps().num_rows, 0u);
-    }
-    for (PairKernel kernel :
-         {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
-      for (size_t threads : {1u, 2u, 4u}) {
-        EXPECT_EQ(Compute(g, 3, kernel, threads).values(), oracle)
-            << "plane=" << PlaneKindName(c.want)
-            << " kernel=" << PairKernelName(kernel)
-            << " threads=" << threads;
-      }
+    for (size_t threads : {1u, 2u, 4u}) {
+      EXPECT_EQ(Compute(g, k, threads).values(), expected)
+          << "k=" << k << " threads=" << threads;
     }
   }
 }
@@ -143,16 +89,54 @@ TEST(FusedSelectivityTest, MidDensityErdosRenyi) {
 }
 
 TEST(FusedSelectivityTest, DenseErdosRenyi) {
-  // Near-complete: the leaf cells run the adjacency-plane row unions.
+  // Avg degree ~25 on 60 vertices: pair sets saturate toward |V|^2.
   ExpectMatchesOracle(ErdosRenyiGraph(60, 1500, 3, 7), /*max_k=*/4);
+  ExpectMatchesOracle(ErdosRenyiGraph(120, 1400, 3, 5), /*max_k=*/4);
 }
 
 TEST(FusedSelectivityTest, ForestFire) {
   ExpectMatchesOracle(ForestFireGraph(350, 5, 17), /*max_k=*/4);
 }
 
+TEST(FusedSelectivityTest, ForestFireDeeper) {
+  ExpectMatchesOracle(ForestFireGraph(150, 3, 23), /*max_k=*/5);
+}
+
+TEST(FusedSelectivityTest, EmissionArenaFallbackMatchesOracle) {
+  // |V|·|L| above FusedExtender::kMaxMarkerEntries: the extender keeps no
+  // per-label markers and deduplicates every cell through its emission
+  // arenas and one shared marker. A dense 300-vertex core gives groups
+  // many repeated candidates; sparse edges over the whole vertex range
+  // (both endpoints up to the top id) keep the graph large.
+  constexpr size_t kLabels = 8;
+  constexpr size_t kVertices = FusedExtender::kMaxMarkerEntries / kLabels + 1;
+  GraphBuilder builder;
+  for (size_t l = 0; l < kLabels; ++l) builder.AddLabel(std::to_string(l));
+  std::mt19937_64 rng(31);
+  auto add_random_edges = [&](size_t count, size_t range) {
+    std::uniform_int_distribution<VertexId> vertex(
+        0, static_cast<VertexId>(range - 1));
+    std::uniform_int_distribution<LabelId> label(0, kLabels - 1);
+    for (size_t i = 0; i < count; ++i) {
+      const VertexId src = vertex(rng);
+      const LabelId l = label(rng);
+      builder.AddEdge(src, l, vertex(rng));
+    }
+  };
+  add_random_edges(6000, 300);
+  add_random_edges(200000, kVertices);
+  builder.AddEdge(static_cast<VertexId>(kVertices - 1), LabelId{0}, 0);
+  builder.AddEdge(0, LabelId{1}, static_cast<VertexId>(kVertices - 1));
+  auto built = builder.Build();
+  ASSERT_TRUE(built.ok());
+  ASSERT_EQ(built->num_vertices(), kVertices);
+  ASSERT_GT(built->num_vertices() * built->num_labels(),
+            FusedExtender::kMaxMarkerEntries);
+  ExpectMatchesOracle(*built, /*max_k=*/3);
+}
+
 TEST(FusedSelectivityTest, MoreThan64LabelsSupported) {
-  // Wide label sets exercise the per-label marker/bitset arrays well past
+  // Wide label sets exercise the per-label marker arrays well past
   // the old 64-label bitmask ceiling; k = 3 runs the |L|² = 4900 prefix
   // tasks. k stops at 3: the L_4 map over 70 labels alone is 24M entries.
   const Graph g = ErdosRenyiGraph(80, 4000, 70, 3);
@@ -198,8 +182,7 @@ std::vector<uint64_t> LimitsLandingAt(
 TEST(FusedSelectivityTest, GuardStatusMatchesOracleFirstViolation) {
   // Level-1 violations surface from the pre-pass, level-2 ones from the
   // cell guard, deeper ones from inside prefix tasks; every one must name
-  // the oracle's first pre-order violation, whatever the kernel or thread
-  // count.
+  // the oracle's first pre-order violation, whatever the thread count.
   const size_t k = 4;
   const Graph graphs[] = {ErdosRenyiGraph(80, 1200, 3, 5),
                           ErdosRenyiGraph(200, 2400, 3, 29),
@@ -227,32 +210,49 @@ TEST(FusedSelectivityTest, GuardStatusMatchesOracleFirstViolation) {
     limits.push_back(max_pairs);  // the largest set fits: no violation
     for (uint64_t limit : limits) {
       const auto violation = oracle.FirstGuardViolation(k, limit);
-      for (PairKernel kernel :
-           {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
-        for (size_t threads : {1u, 2u, 4u}) {
-          SelectivityOptions options;
-          options.kernel = kernel;
-          options.num_threads = threads;
-          options.max_pairs_per_prefix = limit;
-          auto result = ComputeSelectivities(g, k, options);
-          const std::string where = "limit=" + std::to_string(limit) +
-                                    " kernel=" + PairKernelName(kernel) +
-                                    " threads=" + std::to_string(threads);
-          if (!violation.has_value()) {
-            ASSERT_TRUE(result.ok()) << where;
-            EXPECT_EQ(result->values(), all) << where;
-            continue;
-          }
-          ASSERT_FALSE(result.ok()) << where;
-          EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
-              << where;
-          EXPECT_EQ(result.status().message(),
-                    "pair set exceeds max_pairs_per_prefix at path " +
-                        violation->ToIdString())
-              << where;
+      for (size_t threads : {1u, 2u, 4u}) {
+        SelectivityOptions options;
+        options.num_threads = threads;
+        options.max_pairs_per_prefix = limit;
+        auto result = ComputeSelectivities(g, k, options);
+        const std::string where = "limit=" + std::to_string(limit) +
+                                  " threads=" + std::to_string(threads);
+        if (!violation.has_value()) {
+          ASSERT_TRUE(result.ok()) << where;
+          EXPECT_EQ(result->values(), all) << where;
+          continue;
         }
+        ASSERT_FALSE(result.ok()) << where;
+        EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted)
+            << where;
+        EXPECT_EQ(result.status().message(),
+                  "pair set exceeds max_pairs_per_prefix at path " +
+                      violation->ToIdString())
+            << where;
       }
     }
+  }
+}
+
+TEST(FusedSelectivityTest, GuardStatusAtFixedLimit) {
+  // A limit picked without reference to the pre-order sizes: the guard
+  // must still trip at the oracle's first violation with its message.
+  const Graph g = ErdosRenyiGraph(80, 1200, 3, 5);
+  const uint64_t limit = 400;
+  const auto violation =
+      NaiveSelectivity(g).FirstGuardViolation(4, limit);
+  ASSERT_TRUE(violation.has_value());
+  for (size_t threads : {1u, 2u, 4u}) {
+    SelectivityOptions options;
+    options.num_threads = threads;
+    options.max_pairs_per_prefix = limit;
+    auto result = ComputeSelectivities(g, 4, options);
+    ASSERT_FALSE(result.ok());
+    EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(result.status().message(),
+              "pair set exceeds max_pairs_per_prefix at path " +
+                  violation->ToIdString())
+        << "threads=" << threads;
   }
 }
 

@@ -1,13 +1,11 @@
 // The ingest determinism contract (graph_builder.h, graph_io.h): the
 // counting-sort Build is bit-identical to the seed's global-sort
-// BuildReference at every thread count — CSRs, vertex-major arrays, and
-// plane — on generated ER and forest-fire graphs large enough to take the
-// parallel path; the hub plane obeys its degree-threshold/budget contract;
-// the chunked from_chars reader preserves the line-oriented istream
+// BuildReference at every thread count — CSRs and vertex-major arrays —
+// on generated ER and forest-fire graphs large enough to take the
+// parallel path; the chunked from_chars reader preserves the line-oriented istream
 // semantics (skip lines, error line numbers, id range checks) and
 // round-trips ~100k-edge graphs through the streaming writer.
 
-#include <bit>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,83 +125,6 @@ TEST(GraphBuildTest, AdoptMatchesIncrementalAdds) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_TRUE(a->IdenticalTo(*b));
-}
-
-TEST(GraphBuildTest, HubPlaneContract) {
-  // Shrink the budget so dense cannot fit; the hub plane must keep (only)
-  // the cells whose out-degree crosses the graph-deterministic threshold,
-  // stay within the byte budget, and index rows through the segment
-  // directory consistently with the CSRs.
-  const Graph source = ErdosRenyiGraph(200, 2400, 3, 29);
-  GraphBuilder builder = BuilderFrom(source);
-  GraphBuildOptions options;
-  options.plane_budget_bytes = 1024;  // dense needs 19200 B here
-  GraphBuildStats stats;
-  const auto built = builder.Build(options, &stats);
-  ASSERT_TRUE(built.ok());
-  ASSERT_EQ(stats.plane_kind, PlaneKind::kHub);
-  EXPECT_LE(stats.plane_bytes, options.plane_budget_bytes);
-  EXPECT_GT(stats.plane_rows, 0u);
-  const Graph::AdjacencyPlane plane = built->AdjacencyBitmaps();
-  ASSERT_EQ(plane.kind, PlaneKind::kHub);
-  ASSERT_NE(plane.seg_rows, nullptr);
-  EXPECT_EQ(plane.hub_degree_threshold, stats.hub_degree_threshold);
-  EXPECT_GE(plane.hub_degree_threshold, 1u);
-
-  size_t rows_seen = 0;
-  for (VertexId v = 0; v < built->num_vertices(); ++v) {
-    for (LabelId l = 0; l < built->num_labels(); ++l) {
-      const auto neighbors = built->OutNeighbors(v, l);
-      const uint64_t* row = built->PlaneRow(v, l);
-      if (neighbors.size() >= plane.hub_degree_threshold &&
-          !neighbors.empty()) {
-        ASSERT_NE(row, nullptr) << "v=" << v << " l=" << l;
-        ++rows_seen;
-        // The row holds exactly the cell's successor set.
-        size_t bits = 0;
-        for (size_t w = 0; w < plane.stride_words; ++w) {
-          bits += static_cast<size_t>(std::popcount(row[w]));
-        }
-        EXPECT_EQ(bits, neighbors.size());
-        for (const VertexId u : neighbors) {
-          EXPECT_TRUE(row[u >> 6] & (uint64_t{1} << (u & 63)));
-        }
-      } else {
-        EXPECT_EQ(row, nullptr) << "v=" << v << " l=" << l;
-      }
-    }
-  }
-  EXPECT_EQ(rows_seen, stats.plane_rows);
-
-  // The decision is thread-invariant like everything else.
-  for (size_t threads : {2u, 4u}) {
-    GraphBuildOptions threaded = options;
-    threaded.num_threads = threads;
-    const auto again = builder.Build(threaded);
-    ASSERT_TRUE(again.ok());
-    EXPECT_TRUE(again->IdenticalTo(*built)) << "threads=" << threads;
-  }
-}
-
-TEST(GraphBuildTest, PlanePolicyForcing) {
-  const Graph source = ErdosRenyiGraph(150, 1200, 3, 5);
-  GraphBuilder builder = BuilderFrom(source);
-  GraphBuildStats stats;
-  GraphBuildOptions options;
-  options.plane = PlanePolicy::kNone;
-  ASSERT_TRUE(builder.Build(options, &stats).ok());
-  EXPECT_EQ(stats.plane_kind, PlaneKind::kNone);
-  options.plane = PlanePolicy::kDense;
-  ASSERT_TRUE(builder.Build(options, &stats).ok());
-  EXPECT_EQ(stats.plane_kind, PlaneKind::kDense);
-  options.plane = PlanePolicy::kHub;  // hub even though dense would fit
-  ASSERT_TRUE(builder.Build(options, &stats).ok());
-  EXPECT_EQ(stats.plane_kind, PlaneKind::kHub);
-  // kAuto under the default budget picks dense for this small graph, and
-  // the legacy bool overload is kAuto.
-  options.plane = PlanePolicy::kAuto;
-  ASSERT_TRUE(builder.Build(options, &stats).ok());
-  EXPECT_EQ(stats.plane_kind, PlaneKind::kDense);
 }
 
 TEST(GraphBuildTest, StreamingWriterRoundTripsLargeGraph) {

@@ -1,6 +1,5 @@
 // Unit tests for the labeled graph, builder, IO, and stats.
 
-#include <bit>
 #include <sstream>
 #include <vector>
 
@@ -203,34 +202,6 @@ TEST(GraphTest, VertexMajorViewMatchesPerLabelCsr) {
   }
   EXPECT_EQ(targets_seen, g.num_edges());
   EXPECT_GT(segments_seen, 0u);
-}
-
-TEST(GraphTest, AdjacencyBitmapPlaneMatchesCsr) {
-  Graph g = testing_util::GraphWithCardinalities({{"p", 40}, {"q", 9}});
-  const Graph::AdjacencyPlane plane = g.AdjacencyBitmaps();
-  ASSERT_NE(plane.rows, nullptr);  // small graph: always materialized
-  ASSERT_EQ(plane.stride_words, (g.num_vertices() + 63) / 64);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (LabelId l = 0; l < g.num_labels(); ++l) {
-      const uint64_t* row =
-          plane.rows +
-          (static_cast<size_t>(v) * g.num_labels() + l) * plane.stride_words;
-      std::vector<VertexId> from_row;
-      for (size_t w = 0; w < plane.stride_words; ++w) {
-        uint64_t word = row[w];
-        while (word != 0) {
-          from_row.push_back(static_cast<VertexId>(
-              (w << 6) + static_cast<size_t>(std::countr_zero(word))));
-          word &= word - 1;
-        }
-      }
-      auto expected = g.OutNeighbors(v, l);
-      ASSERT_EQ(from_row.size(), expected.size()) << "v=" << v << " l=" << l;
-      for (size_t i = 0; i < from_row.size(); ++i) {
-        EXPECT_EQ(from_row[i], expected[i]) << "v=" << v << " l=" << l;
-      }
-    }
-  }
 }
 
 TEST(TestUtilTest, GraphWithCardinalitiesIsExact) {

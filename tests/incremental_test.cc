@@ -1,6 +1,6 @@
 // The bit-identity oracle of the incremental rebuild
 // (maint/incremental.h): for random graphs, random delta batches, and
-// every (k, kernel, thread count) combination, patching an old
+// every (k, thread count) combination, patching an old
 // selectivity map with IncrementalSelectivities must equal a full
 // ComputeSelectivities on the patched graph EXACTLY — the maps hold exact
 // uint64 counts, so equality is ==, not approximate — and both must equal
@@ -111,7 +111,7 @@ std::string GraphText(const Graph& graph) {
 }
 
 // The oracle assertion: incremental(old_map, deltas) == full(patched) ==
-// naive(patched), bit for bit, across kernels × thread counts.
+// naive(patched), bit for bit, across thread counts.
 void ExpectBitIdentity(const Graph& graph, const std::vector<EdgeDelta>& deltas,
                        size_t k, const std::string& what) {
   SelectivityOptions base;
@@ -122,26 +122,20 @@ void ExpectBitIdentity(const Graph& graph, const std::vector<EdgeDelta>& deltas,
   const std::vector<uint64_t> oracle =
       reference::NaiveSelectivity(*patched).AllSelectivities(k);
 
-  for (PairKernel kernel :
-       {PairKernel::kAuto, PairKernel::kSparse, PairKernel::kDense}) {
-    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
-      SelectivityOptions options;
-      options.kernel = kernel;
-      options.num_threads = threads;
-      auto full = ComputeSelectivities(*patched, k, options);
-      ASSERT_TRUE(full.ok()) << what;
-      ASSERT_EQ(full->values(), oracle)
-          << what << " k=" << k << " kernel=" << static_cast<int>(kernel)
-          << " threads=" << threads;
-      IncrementalStats stats;
-      auto inc = IncrementalSelectivities(*patched, *old_map, deltas,
-                                          options, &stats);
-      ASSERT_TRUE(inc.ok()) << what << ": " << inc.status().ToString();
-      ASSERT_EQ(inc->values(), full->values())
-          << what << " k=" << k << " kernel=" << static_cast<int>(kernel)
-          << " threads=" << threads;
-      EXPECT_LE(stats.touched_roots, stats.total_roots) << what;
-    }
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    SelectivityOptions options;
+    options.num_threads = threads;
+    auto full = ComputeSelectivities(*patched, k, options);
+    ASSERT_TRUE(full.ok()) << what;
+    ASSERT_EQ(full->values(), oracle)
+        << what << " k=" << k << " threads=" << threads;
+    IncrementalStats stats;
+    auto inc = IncrementalSelectivities(*patched, *old_map, deltas, options,
+                                        &stats);
+    ASSERT_TRUE(inc.ok()) << what << ": " << inc.status().ToString();
+    ASSERT_EQ(inc->values(), full->values())
+        << what << " k=" << k << " threads=" << threads;
+    EXPECT_LE(stats.touched_roots, stats.total_roots) << what;
   }
 }
 

@@ -607,6 +607,26 @@ TEST_F(MaintServeTest, TortureConcurrentEstimatesAgainstUpdateStreamAndRestart) 
   std::mutex unexpected_mu;
 
   std::vector<std::thread> estimators;
+  // Stops and joins the estimators on every exit from this scope, so a
+  // failing ASSERT below reports as a test failure instead of destroying
+  // joinable threads (std::terminate).
+  class JoinOnExit {
+   public:
+    JoinOnExit(std::atomic<bool>* done, std::vector<std::thread>* threads)
+        : done_(done), threads_(threads) {}
+    JoinOnExit(const JoinOnExit&) = delete;
+    JoinOnExit& operator=(const JoinOnExit&) = delete;
+    ~JoinOnExit() {
+      done_->store(true, std::memory_order_release);
+      for (std::thread& t : *threads_) {
+        if (t.joinable()) t.join();
+      }
+    }
+
+   private:
+    std::atomic<bool>* done_;
+    std::vector<std::thread>* threads_;
+  } join_on_exit(&done, &estimators);
   for (int t = 0; t < 3; ++t) {
     estimators.emplace_back([&] {
       auto client = ServeClient::Connect(server.options().socket_path);

@@ -8,6 +8,7 @@
 #include <iterator>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +18,7 @@
 #include "path/selectivity.h"
 #include "test_util.h"
 #include "util/combinatorics.h"
+#include "util/timer.h"
 
 namespace pathest {
 namespace {
@@ -459,11 +461,14 @@ TEST(RetiredV1Catalog, V1MagicIsATypedErrorEverywhere) {
             std::string::npos);
 }
 
-// A text entry whose (|L|, k) overflows |L_k| is a corrupt entry, not a
-// crash: every reader refuses it with a typed error naming |L| and k (it
-// used to abort inside PathSpace), and so does the ordering factory.
+// A text entry whose sum-based index would be too large to build, or
+// whose (|L|, k) overflows |L_k|, is a corrupt entry, not a hang or a
+// crash: every reader refuses it at once with a typed error naming |L|
+// and k (the first used to run for hours building the index, the second
+// aborted inside PathSpace), and so does the ordering factory.
 TEST(OversizedPathSpace, TextEntryIsATypedError) {
   const std::string path = testing_util::OversizedPathSpaceFixturePath();
+  Timer timer;
   auto loaded = LoadPathHistogram(path);
   EXPECT_TRUE(testing_util::IsOversizedPathSpaceError(loaded.status()))
       << loaded.status().ToString();
@@ -472,6 +477,29 @@ TEST(OversizedPathSpace, TextEntryIsATypedError) {
   auto streamed = ReadPathHistogram(&in);
   EXPECT_TRUE(testing_util::IsOversizedPathSpaceError(streamed.status()))
       << streamed.status().ToString();
+  EXPECT_LT(timer.ElapsedSeconds(), 1.0);
+
+  // The same labels under num-alph at k = 6: |L_k| > 2^66.
+  std::ifstream fixture(path, std::ios::binary);
+  std::string text((std::istreambuf_iterator<char>(fixture)),
+                   std::istreambuf_iterator<char>());
+  for (const auto& [from, to] :
+       {std::pair<std::string, std::string>{"ordering sum-based\n",
+                                            "ordering num-alph\n"},
+        std::pair<std::string, std::string>{"\nk 5\n", "\nk 6\n"}}) {
+    const size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << from;
+    text.replace(at, from.size(), to);
+  }
+  std::istringstream overflow(text);
+  auto overflowed = ReadPathHistogram(&overflow);
+  EXPECT_EQ(overflowed.status().code(), StatusCode::kIOError);
+  EXPECT_NE(overflowed.status().message().find("overflows u64"),
+            std::string::npos)
+      << overflowed.status().ToString();
+  EXPECT_NE(overflowed.status().message().find("|L|=2048, k=6"),
+            std::string::npos)
+      << overflowed.status().ToString();
 
   LabelDictionary labels;
   for (int i = 0; i < 2048; ++i) labels.Intern("l" + std::to_string(i));
@@ -482,6 +510,13 @@ TEST(OversizedPathSpace, TextEntryIsATypedError) {
             std::string::npos)
       << ordering.status().ToString();
   EXPECT_TRUE(MakeOrderingFromStats("num-alph", labels, cards, 5).ok());
+  for (const char* sum : {"sum-based", "sum-card", "sum-alph"}) {
+    auto refused = MakeOrderingFromStats(sum, labels, cards, 5);
+    EXPECT_EQ(refused.status().code(), StatusCode::kResourceExhausted) << sum;
+    EXPECT_NE(refused.status().message().find("|L|=2048, k=5"),
+              std::string::npos)
+        << refused.status().ToString();
+  }
 }
 
 TEST(SniffCatalogFormat, DistinguishesFormatsWithoutSlurping) {

@@ -554,6 +554,35 @@ TEST_F(ServeTest, StartsDegradedWhenAnEntryIsCorrupt) {
   EXPECT_NE(stats->find("\"corrupt\":1"), std::string::npos) << *stats;
 }
 
+TEST_F(ServeTest, StartsDegradedWhenAnEntryIsOversized) {
+  // A sum-based entry whose stage-three index is too large to build: the
+  // startup load used to run until killed. It must quarantine the entry
+  // with the typed error and serve the healthy sibling.
+  WriteEntry(root_ / "cat", "alpha", 6, HistogramType::kVOptimal);
+  std::filesystem::copy_file(testing_util::OversizedPathSpaceFixturePath(),
+                             root_ / "cat" / "huge.stats");
+
+  ServeServer server(BaseOptions(root_ / "cat"));
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_EQ(server.initial_report().failures.size(), 1u);
+  EXPECT_TRUE(testing_util::IsOversizedPathSpaceError(
+      server.initial_report().failures[0].status))
+      << server.initial_report().failures[0].status.ToString();
+  EXPECT_EQ(server.initial_report().loaded,
+            std::vector<std::string>{"alpha"});
+
+  ServeClient client = Connect(server);
+  auto health = client.Call("health");
+  ASSERT_TRUE(health.ok());
+  EXPECT_EQ(*health, "ok serving entries=1 degraded=1 version=1");
+  auto good = client.Call("estimate alpha a");
+  ASSERT_TRUE(good.ok());
+  EXPECT_EQ(good->rfind("ok ", 0), 0u) << *good;
+  auto bad = client.Call("estimate huge l0");
+  ASSERT_TRUE(bad.ok());
+  EXPECT_EQ(bad->rfind("err NotFound fatal ", 0), 0u) << *bad;
+}
+
 TEST_F(ServeTest, ReloadSwapsAtomicallyAndDegradesNeverOutages) {
   const std::vector<std::string> paths = {"a", "a/b", "a/b/c"};
   const auto v1 = WriteEntry(root_ / "v1", "probe", 6,

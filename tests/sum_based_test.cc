@@ -156,5 +156,45 @@ TEST_F(SumBasedStructureTest, RankRejectsForeignPath) {
   EXPECT_DEATH(ordering_.Unrank(ordering_.size()), "out of range");
 }
 
+TEST(SumStage3EntryCountTest, ClosedFormMatchesTheBuiltIndex) {
+  // C(|L|+k, k) - 1 against the blocks BuildSumStage3Index enumerates, on
+  // shapes under both key schemes.
+  for (uint64_t num_labels : {1u, 2u, 3u, 6u, 8u, 70u}) {
+    for (uint64_t k : {1u, 2u, 3u, 4u}) {
+      const SumStage3Index index = BuildSumStage3Index(num_labels, k);
+      ASSERT_NE(index.scheme, SumKeyScheme::kNone);
+      auto entries = SumStage3EntryCount(num_labels, k);
+      ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+      EXPECT_EQ(*entries, index.keys.size())
+          << "|L|=" << num_labels << " k=" << k;
+    }
+  }
+  // The benchmark's graphs (8 labels) at k = 6, and 2048 labels at k = 2.
+  EXPECT_EQ(*SumStage3EntryCount(8, 6), 3002u);
+  EXPECT_EQ(*SumStage3EntryCount(2048, 2), 2100224u);
+}
+
+TEST(SumStage3EntryCountTest, RefusesOversizedAndOverflowingShapes) {
+  auto at_limit = SumStage3EntryCount(2048, 5);
+  ASSERT_FALSE(at_limit.ok());
+  EXPECT_EQ(at_limit.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(at_limit.status().message().find("over the limit"),
+            std::string::npos)
+      << at_limit.status().ToString();
+  EXPECT_NE(at_limit.status().message().find("|L|=2048, k=5"),
+            std::string::npos);
+  // C(2^40 + 16, 16) is far past u64: refused, never wrapped.
+  auto overflow = SumStage3EntryCount(uint64_t{1} << 40, 16);
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(overflow.status().message().find("overflows u64"),
+            std::string::npos)
+      << overflow.status().ToString();
+  EXPECT_FALSE(SumStage3EntryCount(UINT64_MAX, 16).ok());
+  // At 2048 labels, k = 2 is within the limit and k = 3 past it.
+  EXPECT_TRUE(SumStage3EntryCount(2048, 2).ok());
+  EXPECT_FALSE(SumStage3EntryCount(2048, 3).ok());
+}
+
 }  // namespace
 }  // namespace pathest

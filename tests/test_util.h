@@ -59,19 +59,22 @@ inline std::string RetiredV1FixturePath() {
   return std::string(PATHEST_SOURCE_DIR) + "/tests/golden/catalog_v1.stats";
 }
 
-// A crafted text catalog entry — 2048 labels at k = 6, within the
-// reader's label and k caps — whose |L_k| overflows u64: the fixture of
-// every "oversized path space is a typed error" test.
+// A crafted 15 KB text catalog entry — sum-based, 2048 labels at k = 5,
+// within the reader's label and k caps, with |L_k| ≈ 3.6·10^16 fitting
+// u64 — whose stage-three index would need C(2053, 5) - 1 ≈ 3·10^14
+// entries: the fixture of every "oversized path space is a typed error"
+// test. Readers used to hang building that index.
 inline std::string OversizedPathSpaceFixturePath() {
   return std::string(PATHEST_SOURCE_DIR) +
          "/tests/golden/oversized_path_space.stats";
 }
 
 // True when `status` is the typed refusal of OversizedPathSpaceFixturePath:
-// the text reader's IOError naming |L| and k.
+// the text reader's IOError naming the index bound, |L| and k.
 inline bool IsOversizedPathSpaceError(const Status& status) {
   return status.code() == StatusCode::kIOError &&
-         status.message().find("|L|=2048, k=6") != std::string::npos;
+         status.message().find("sum-based index needs") != std::string::npos &&
+         status.message().find("|L|=2048, k=5") != std::string::npos;
 }
 
 // True when `status` is the typed refusal of a retired v1 catalog: an
